@@ -47,6 +47,7 @@ DEFAULT_HOT_SUFFIXES = (
     "SimulatedCore._step_burst_timer_inline",
     "SimulatedCore._step_burst_timer_plain",
     "_mixture_trace_numpy",
+    "_mixture_batches_numpy",
 )
 
 #: same-attribute loads per loop body that trigger HX2.

@@ -19,22 +19,54 @@ Everything resamples through an explicitly seeded
 :class:`random.Random` — no numpy, no scipy, no global random state —
 so a report built twice from the same inputs is byte-identical
 (pinned by ``tests/eval/test_report.py``).
+
+The resamplers draw in bulk yet reproduce, bit for bit, what a
+per-draw loop of ``rng.randrange(n)`` (bootstrap) and
+``rng.random() < 0.5`` (permutation) on the same seed would give.
+Both consume 32-bit Mersenne Twister words, which
+``rng.getrandbits(32 * m)`` hands out m at a time:
+
+* ``randrange(n)`` is one word shifted right by
+  ``32 - n.bit_length()``, redrawn while the result is ``>= n``;
+* ``random() < 0.5`` holds exactly when the first of its two words
+  has its top bit clear.
+
+The filtering runs in C (``bytes.translate`` over each word's top
+byte when ``n <= 255``, ``map``/``filter`` above that), bootstrap
+means keep their per-row :func:`math.fsum` and permutation totals are
+summed strictly left to right, so every interval and p-value equals
+the scalar loops' (``tests/eval/test_stats.py`` keeps those loops as
+the reference).
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
+import operator
+import sys
+from array import array
 from dataclasses import dataclass
+from itertools import cycle, islice, repeat
 from random import Random
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..errors import EvalError
 
 #: default resample count for bootstrap and permutation routines —
-#: enough for stable 3-decimal p-values at report scale while keeping
-#: a full report well under a second.
+#: enough for stable 3-decimal p-values at report scale.  A 45-cell
+#: report over 35 pairs at this count takes 0.4-0.55 s on a 2-vCPU
+#: x86-64 VM (1.0-1.9 s with per-draw loops).
 DEFAULT_RESAMPLES = 2000
+
+#: upper bound on the Mersenne Twister words drawn per bulk request:
+#: the transient buffers stay in the tens of KiB whatever
+#: ``resamples`` is, and larger chunks measured no faster.
+DRAW_CHUNK_WORDS = 1 << 12
+
+#: top byte of a word -> 1 when its top bit is set (``random() >= 0.5``).
+_TOP_BIT = bytes(byte >> 7 for byte in range(256))
 
 #: default two-sided confidence level for bootstrap intervals.
 DEFAULT_CONFIDENCE = 0.95
@@ -72,6 +104,45 @@ def paired_deltas(
     return [bv - av for av, bv in zip(a, b)]
 
 
+def _words(rng: Random, count: int) -> bytes:
+    """The next ``count`` 32-bit outputs of ``rng``, 4 bytes each.
+
+    ``getrandbits`` fills its result from the least significant word
+    up, in draw order, so the little-endian bytes hold the i-th word
+    at ``[4 * i, 4 * i + 4)`` on any host.
+    """
+    return rng.getrandbits(32 * count).to_bytes(4 * count, "little")
+
+
+def _randrange_draws(rng: Random, n: int, count: int) -> Iterator[Sequence[int]]:
+    """The next ``count`` values of ``rng.randrange(n)``, in chunks.
+
+    Each chunk asks for the words still needed at the acceptance rate
+    ``n / 2**k`` (at least one half), capped at ``DRAW_CHUNK_WORDS``;
+    draws past ``count`` in the last chunk are dropped.
+    """
+    k = n.bit_length()
+    if k <= 8:
+        # The kept bits all sit in the word's top byte.
+        table = bytes(byte >> (8 - k) for byte in range(256))
+        reject = bytes(byte for byte in range(256) if byte >> (8 - k) >= n)
+    while count > 0:
+        raw = _words(rng, min(DRAW_CHUNK_WORDS, -(-(count << k) // n)))
+        if k <= 8:
+            draws: Sequence[int] = raw[3::4].translate(table, reject)
+        else:
+            words = array("I", raw)
+            if sys.byteorder == "big":
+                words.byteswap()
+            draws = list(
+                filter(n.__gt__, map(operator.rshift, words, repeat(32 - k)))
+            )
+        if len(draws) > count:
+            draws = draws[:count]
+        count -= len(draws)
+        yield draws
+
+
 def bootstrap_ci(
     deltas: Sequence[float],
     confidence: float = DEFAULT_CONFIDENCE,
@@ -93,12 +164,19 @@ def bootstrap_ci(
         raise EvalError("confidence must be in (0, 1)")
     if resamples < 1:
         raise EvalError("resamples must be positive")
-    rng = Random(seed)
     n = len(deltas)
-    means = sorted(
-        math.fsum(deltas[rng.randrange(n)] for _ in range(n)) / n
-        for _ in range(resamples)
-    )
+    pick = list(deltas).__getitem__
+    means: List[float] = []
+    pending: List[float] = []
+    for draws in _randrange_draws(Random(seed), n, resamples * n):
+        pending.extend(map(pick, draws))
+        end = len(pending) - len(pending) % n
+        means.extend(
+            math.fsum(pending[start:start + n]) / n
+            for start in range(0, end, n)
+        )
+        del pending[:end]
+    means.sort()
     alpha = (1.0 - confidence) / 2.0
     lo_index = int(math.floor(alpha * (resamples - 1)))
     hi_index = int(math.ceil((1.0 - alpha) * (resamples - 1)))
@@ -121,6 +199,8 @@ def permutation_pvalue(
     """
     if not deltas:
         raise EvalError("permutation test over an empty sample")
+    if resamples < 1:
+        raise EvalError("resamples must be positive")
     n = len(deltas)
     observed = abs(math.fsum(deltas))
     # Exhaustive for small n: every p-value is a rational with a
@@ -135,13 +215,23 @@ def permutation_pvalue(
                 hits += 1
         return hits / 2 ** n
     rng = Random(seed)
+    signed = [(delta, -delta) for delta in deltas]
+    threshold = observed - 1e-12
+    rows_per_chunk = max(1, DRAW_CHUNK_WORDS // (2 * n))
     hits = 0
-    for _ in range(resamples):
-        total = 0.0
-        for delta in deltas:
-            total += delta if rng.random() < 0.5 else -delta
-        if abs(total) >= observed - 1e-12:
-            hits += 1
+    remaining = resamples
+    while remaining:
+        rows = min(rows_per_chunk, remaining)
+        remaining -= rows
+        # random() spends two words per call; the top byte of the
+        # first sits at offset 3 of each 8-byte pair.
+        flips = _words(rng, 2 * n * rows)[3::8].translate(_TOP_BIT)
+        terms = map(operator.getitem, cycle(signed), flips)
+        totals = [
+            functools.reduce(operator.add, islice(terms, n), 0.0)
+            for _ in range(rows)
+        ]
+        hits += sum(map(threshold.__le__, map(abs, totals)))
     return (hits + 1) / (resamples + 1)
 
 

@@ -207,7 +207,7 @@ def execute_job(job: SimJob) -> RunSummary:
         victim_cache_entries=job.victim_cache_entries,
     )
     simulator = CMPSimulator(
-        config, mix.traces(reference), telemetry=telemetry, phase_timer=timer
+        config, mix.feeds(reference), telemetry=telemetry, phase_timer=timer
     )
     result = simulator.run()
     summary = RunSummary(

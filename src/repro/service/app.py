@@ -118,6 +118,11 @@ TENANT_HEADER = "X-Repro-Tenant"
 #: echoes the id back so clients can join their logs to the service's.
 TRACE_HEADER = "X-Repro-Trace"
 
+#: largest ``?resamples`` the report endpoint accepts: a report's cost
+#: grows linearly with it, and one request holds a handler thread for
+#: its whole duration.
+MAX_REPORT_RESAMPLES = 100_000
+
 
 class ReproServiceServer(ThreadingHTTPServer):
     """The listening server: broker + config + request counters."""
@@ -154,6 +159,10 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
     """Routes one request to a ``handle_*`` method; JSON in, JSON out."""
 
     protocol_version = "HTTP/1.1"
+    #: headers and body go out as separate writes; with Nagle on, the
+    #: body would wait for the client's delayed ACK (~40 ms) on every
+    #: response of a kept-alive connection.
+    disable_nagle_algorithm = True
     server: ReproServiceServer
 
     # -- routing ---------------------------------------------------------------
@@ -376,13 +385,28 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
 
         ``?baseline=mode/tla`` overrides the paper default
         (``inclusive/none``); ``?format=md`` returns the rendered
-        markdown instead of the JSON document; ``?resamples=N`` trades
-        p-value resolution for latency.  The report is computed from
+        markdown instead of the JSON document; ``?resamples=N`` (1 to
+        :data:`MAX_REPORT_RESAMPLES`, else 400) trades p-value
+        resolution for latency.  The report is computed from
         cached summaries only (done + cache-hit jobs), so the endpoint
         never blocks on simulation — for a still-running sweep it
         evaluates the finished subset, and 409s until at least one
         baseline/candidate pair of the same workload has completed.
         """
+        raw = self._query.get("resamples", ["1000"])[0]
+        try:
+            resamples = int(raw)
+        except ValueError:
+            resamples = 0
+        if not 1 <= resamples <= MAX_REPORT_RESAMPLES:
+            self._send_json(
+                400,
+                {
+                    "error": "resamples must be an integer in "
+                    f"1..{MAX_REPORT_RESAMPLES}, got {raw!r}"
+                },
+            )
+            return
         broker = self.server.broker
         sweep = broker.sweep(sweep_id)
         if sweep is None:
@@ -397,7 +421,6 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
                 continue
             records.append(record_from_summary(key, summary))
         baseline = self._query.get("baseline", [BASELINE_POLICY])[0]
-        resamples = self._int_query("resamples", 1000)
         try:
             report = build_report(
                 records, baseline=baseline, resamples=resamples

@@ -13,9 +13,10 @@ import random
 from dataclasses import dataclass
 from typing import Iterator, List, Optional, Sequence, Tuple
 
+from ..access import AccessType
 from ..config import HierarchyConfig
 from ..errors import ConfigurationError
-from .spec import app_names, app_profile, app_trace
+from .spec import app_feed, app_names, app_profile, app_trace
 from .trace import TraceRecord
 
 
@@ -44,6 +45,15 @@ class WorkloadMix:
         """One infinite trace per core, in disjoint address spaces."""
         return [
             app_trace(app, reference=reference, core_id=core_id)
+            for core_id, app in enumerate(self.apps)
+        ]
+
+    def feeds(
+        self, reference: Optional[HierarchyConfig] = None
+    ) -> List[Iterator[Tuple[int, AccessType, int]]]:
+        """:meth:`traces` as plain-tuple simulator feeds (same values)."""
+        return [
+            app_feed(app, reference=reference, core_id=core_id)
             for core_id, app in enumerate(self.apps)
         ]
 

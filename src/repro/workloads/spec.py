@@ -18,12 +18,13 @@ absolute MPKI values of binaries we do not have.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional
+from typing import Dict, Iterator, List, Optional, Tuple
 
+from ..access import AccessType
 from ..config import HierarchyConfig
 from ..errors import ConfigurationError
 from .categories import CATEGORY_CCF, CATEGORY_LLCF, CATEGORY_LLCT
-from .synthetic import MixtureProfile, RegionSpec, mixture_trace
+from .synthetic import MixtureProfile, RegionSpec, mixture_feed, mixture_trace
 from .trace import TraceRecord, core_address_offset
 
 
@@ -264,12 +265,34 @@ def app_trace(
             same benchmark are not in lockstep.
         seed_salt: extra seed entropy for building disjoint mix sets.
     """
+    return mixture_trace(*_app_stream(name, reference, core_id, seed_salt))
+
+
+def app_feed(
+    name: str,
+    reference: Optional[HierarchyConfig] = None,
+    core_id: int = 0,
+    seed_salt: int = 1,
+) -> Iterator[Tuple[int, AccessType, int]]:
+    """:func:`app_trace`'s stream as plain tuples, for the simulator.
+
+    Same arguments and values as :func:`app_trace`, through
+    :func:`~repro.workloads.synthetic.mixture_feed`.
+    """
+    return mixture_feed(*_app_stream(name, reference, core_id, seed_salt))
+
+
+def _app_stream(
+    name: str,
+    reference: Optional[HierarchyConfig],
+    core_id: int,
+    seed_salt: int,
+) -> Tuple[MixtureProfile, int, int]:
+    """(mixture, seed, base address) of one benchmark copy."""
     if reference is None:
         reference = HierarchyConfig()
-    profile = app_profile(name)
-    mixture = profile.build_mixture(reference)
-    return mixture_trace(
-        mixture,
-        seed=_seed_for(name, core_id, seed_salt),
-        base_address=core_address_offset(core_id),
+    return (
+        app_profile(name).build_mixture(reference),
+        _seed_for(name, core_id, seed_salt),
+        core_address_offset(core_id),
     )

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import repeat as _repeat
+from itertools import chain, repeat, starmap
 from typing import Iterator, List, Optional, Sequence, Tuple
 
 from ..access import AccessType
@@ -149,6 +149,27 @@ def mixture_trace(
     return _mixture_trace_python(profile, seed, base_address)
 
 
+def mixture_feed(
+    profile: MixtureProfile,
+    seed: int = 0,
+    base_address: int = 0,
+) -> Iterator[Tuple[int, AccessType, int]]:
+    """The simulator's view of :func:`mixture_trace`: plain tuples.
+
+    Yields the same ``(gap, kind, address)`` values, in the same
+    order, as ``mixture_trace(profile, seed, base_address)``, but as
+    bare tuples zipped straight out of the numpy engine's batches.  A
+    core unpacks each record at once, and ``zip`` reuses its result
+    tuple when nothing else holds it, so no per-record object is
+    built.  Without numpy the Python engine's records are the feed.
+    """
+    if _np is None:
+        return _mixture_trace_python(profile, seed, base_address)
+    return chain.from_iterable(
+        starmap(zip, _mixture_batches_numpy(profile, seed, base_address))
+    )
+
+
 def _mixture_trace_python(
     profile: MixtureProfile,
     seed: int,
@@ -223,13 +244,34 @@ def _mixture_trace_numpy(
     seed: int,
     base_address: int,
 ) -> Iterator[TraceRecord]:
-    """Batched numpy implementation of :func:`mixture_trace`.
+    """Record view of :func:`_mixture_batches_numpy`.
 
-    Draws random variates in blocks of 4096 and assembles records with
-    vectorised integer arithmetic; behaviourally equivalent to the
-    Python engine (same distributions), though the exact streams
-    differ.  The record stream is bit-identical to the historical
-    scalar numpy loop (the golden regression digests depend on it);
+    Each batch becomes :class:`TraceRecord` objects through a C-level
+    ``map`` feeding ``tuple.__new__``, so no per-record Python
+    bytecode runs (``TraceRecord._make`` is a Python-level classmethod
+    and would cost a frame per record).
+    """
+    record_new = tuple.__new__
+    record_cls = repeat(TraceRecord)
+    for gaps, kinds, addresses in _mixture_batches_numpy(
+        profile, seed, base_address
+    ):
+        yield from map(record_new, record_cls, zip(gaps, kinds, addresses))
+
+
+def _mixture_batches_numpy(
+    profile: MixtureProfile,
+    seed: int,
+    base_address: int,
+) -> Iterator[Tuple[List[int], List[AccessType], List[int]]]:
+    """Batched numpy core of :func:`mixture_trace` and :func:`mixture_feed`.
+
+    Draws random variates in blocks of 4096 and yields each block as
+    ``(gaps, kinds, addresses)`` lists, built with vectorised integer
+    arithmetic; behaviourally equivalent to the Python engine (same
+    distributions), though the exact streams differ.  The stream is
+    bit-identical to the historical scalar numpy loop (the golden
+    regression digests depend on it);
     ``tests/workloads/test_synthetic_vector.py`` keeps a copy of that
     scalar loop and asserts equivalence.
 
@@ -245,10 +287,9 @@ def _mixture_trace_numpy(
        at all); bursty mixtures fall back to a *visit* loop with one
        Python iteration per region visit (not per record) and burst
        continuations filled by a C-level slice assignment;
-    3. records are materialised with a C-level ``map`` feeding
-       ``tuple.__new__`` so no per-record Python bytecode runs at all
-       (``TraceRecord._make`` is a Python-level classmethod and would
-       cost a frame per record).
+    3. access kinds are gathered from an object array of the three
+       :class:`AccessType` members, so every list comes out of numpy's
+       ``tolist`` with no per-record Python bytecode.
     """
     rng = _np.random.RandomState(seed & 0x7FFF_FFFF)
     line = profile.line_size
@@ -276,15 +317,15 @@ def _mixture_trace_numpy(
     code_lines = profile.code_lines
 
     #: kind lookup by code: 0 = load, 1 = store, 2 = ifetch.
-    kind_table = [AccessType.LOAD, AccessType.STORE, AccessType.IFETCH]
+    kind_table = _np.array(
+        [AccessType.LOAD, AccessType.STORE, AccessType.IFETCH], dtype=object
+    )
 
     code_cursor = 0
     stream_cursors = [0] * len(regions)
     burst_address = 0
     burst_left = 0
     batch = 4096
-    record_new = tuple.__new__
-    record_cls = _repeat(TraceRecord)
 
     # Burst-free mixtures (the common case) admit a fully vectorised
     # data pass; only bursty profiles need the per-visit Python loop.
@@ -301,6 +342,7 @@ def _mixture_trace_numpy(
     np_flatnonzero = _np.flatnonzero
     np_accumulate = _np.maximum.accumulate
     random_sample = rng.random_sample
+    kind_take = kind_table.take
     zero_gaps = [0] * batch
 
     while True:
@@ -405,10 +447,9 @@ def _mixture_trace_numpy(
                     cursor += 1
             addresses[data_pos] = data_addresses
 
-        # -- pass 3: C-level record assembly --------------------------------
-        kind_codes = _np.where(is_ifetch, 2, u_write < p_write)
-        kinds = map(kind_table.__getitem__, kind_codes.tolist())
-        yield from map(record_new, record_cls, zip(gaps, kinds, addresses.tolist()))
+        # -- pass 3: access kinds -------------------------------------------
+        kind_codes = np_where(is_ifetch, 2, u_write < p_write)
+        yield gaps, kind_take(kind_codes).tolist(), addresses.tolist()
 
 
 # -- simple single-pattern generators (tests, examples, figure 3) -------------

@@ -6,6 +6,7 @@ identical files, bit for bit, or "regenerate the report" stops being a
 meaningful instruction.
 """
 
+import hashlib
 import json
 import random
 
@@ -111,6 +112,21 @@ class TestDeterminism:
         assert render_json(
             build_report(records, resamples=300)
         ) == render_json(build_report(shuffled, resamples=300))
+
+    def test_default_report_bytes_are_pinned(self, records):
+        """sha256 of the default (2000-resample) report over the
+        conftest grid, recorded with the per-draw resampling loops:
+        the bulk draws must leave every byte where it was."""
+        report = build_report(records)
+        assert report["resamples"] == 2000
+        assert hashlib.sha256(render_json(report).encode()).hexdigest() == (
+            "df147386490ca10e1021306ae45237eb06780c5ea3bd163c6195be56d366b688"
+        )
+        assert hashlib.sha256(
+            render_markdown(report).encode()
+        ).hexdigest() == (
+            "f4d4415a70aca9e4b232a0c08961777d696cb875bc93a94f2789f6917df58f46"
+        )
 
     def test_fingerprint_tracks_the_input_set(self, records):
         assert report_fingerprint(records) == report_fingerprint(

@@ -4,15 +4,21 @@ The coverage test is the load-bearing one — a bootstrap that does not
 achieve (roughly) its configured coverage would make every interval in
 every report a lie.  It is a seeded Monte-Carlo study, so the measured
 coverage is a fixed number and the assertion band cannot flake.
+
+The bulk resamplers must also equal, bit for bit, the per-draw loops
+they replaced; those loops live on here as the reference.
 """
 
+import math
 import random
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.errors import EvalError
+from repro.eval import stats as eval_stats
 from repro.eval import (
     bootstrap_ci,
     derive_seed,
@@ -79,6 +85,15 @@ class TestPermutationTest:
     def test_empty_rejected(self):
         with pytest.raises(EvalError):
             permutation_pvalue([])
+
+    @pytest.mark.parametrize("resamples", [0, -5])
+    def test_nonpositive_resamples_rejected(self, resamples):
+        # n = 13 takes the Monte-Carlo branch, where -5 resamples once
+        # produced p = -0.25 and 0 resamples a silent 1.0.
+        with pytest.raises(EvalError, match="resamples"):
+            permutation_pvalue([0.5] * 13, resamples=resamples)
+        with pytest.raises(EvalError, match="resamples"):
+            permutation_pvalue([0.5] * 3, resamples=resamples)
 
 
 class TestSignTest:
@@ -189,3 +204,102 @@ class TestPairedStats:
         assert stats.ci_low <= stats.mean_delta <= stats.ci_high
         assert stats.wins + stats.losses + stats.ties == 4
         assert set(stats.to_dict()) >= {"n", "ci_low", "p_permutation"}
+
+
+# -- bulk draws vs the per-draw reference loops --------------------------------
+
+
+def scalar_bootstrap_ci(deltas, confidence, resamples, seed):
+    """The original per-draw bootstrap (reference)."""
+    rng = random.Random(seed)
+    n = len(deltas)
+    means = sorted(
+        math.fsum(deltas[rng.randrange(n)] for _ in range(n)) / n
+        for _ in range(resamples)
+    )
+    alpha = (1.0 - confidence) / 2.0
+    lo_index = int(math.floor(alpha * (resamples - 1)))
+    hi_index = int(math.ceil((1.0 - alpha) * (resamples - 1)))
+    return means[lo_index], means[hi_index]
+
+
+def scalar_permutation_pvalue(deltas, resamples, seed):
+    """The original per-draw permutation test (reference)."""
+    n = len(deltas)
+    observed = abs(math.fsum(deltas))
+    if 2 ** n <= max(resamples, 4096):
+        hits = 0
+        for mask in range(2 ** n):
+            total = 0.0
+            for index, delta in enumerate(deltas):
+                total += delta if mask >> index & 1 else -delta
+            if abs(total) >= observed - 1e-12:
+                hits += 1
+        return hits / 2 ** n
+    rng = random.Random(seed)
+    hits = 0
+    for _ in range(resamples):
+        total = 0.0
+        for delta in deltas:
+            total += delta if rng.random() < 0.5 else -delta
+        if abs(total) >= observed - 1e-12:
+            hits += 1
+    return (hits + 1) / (resamples + 1)
+
+
+#: deltas drawn from a handful of values, so ties and zero sums occur.
+tied_floats = st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, 1e-13, 3.25])
+
+
+def sample(n, values):
+    """``n`` deltas cycling through ``values`` (keeps examples small)."""
+    return [values[index % len(values)] for index in range(n)]
+
+
+class TestBulkMatchesScalarReference:
+    """n from 1 to 300 covers the top-byte (n <= 255) and full-word
+    draw paths and the exact-enumeration branch (n <= 12); a tiny
+    chunk bound forces draws to carry across chunks."""
+
+    @given(
+        n=st.integers(min_value=1, max_value=300),
+        values=st.lists(
+            st.one_of(finite_floats, tied_floats), min_size=1, max_size=40
+        ),
+        resamples=st.integers(min_value=1, max_value=60),
+        seed=st.integers(min_value=0, max_value=2**48),
+        chunk=st.sampled_from([1, 7, 64, eval_stats.DRAW_CHUNK_WORDS]),
+    )
+    @example(n=1, values=[0.0], resamples=5, seed=0, chunk=1)
+    @example(n=255, values=[0.0], resamples=3, seed=1, chunk=7)
+    @example(n=256, values=[1.0, -1.0], resamples=3, seed=2, chunk=7)
+    @example(n=300, values=[0.5, 0.5, -0.25], resamples=2, seed=3, chunk=64)
+    @settings(max_examples=80, deadline=None)
+    def test_identical_results(self, n, values, resamples, seed, chunk):
+        deltas = sample(n, values)
+        with mock.patch.object(eval_stats, "DRAW_CHUNK_WORDS", chunk):
+            assert bootstrap_ci(
+                deltas, 0.9, resamples, seed
+            ) == scalar_bootstrap_ci(deltas, 0.9, resamples, seed)
+            assert permutation_pvalue(
+                deltas, resamples, seed
+            ) == scalar_permutation_pvalue(deltas, resamples, seed)
+
+    @pytest.mark.parametrize("n", [1, 12, 13, 35, 255, 256])
+    def test_default_resamples(self, n):
+        rng = random.Random(n)
+        deltas = [rng.gauss(0.05, 0.2) for _ in range(n)]
+        assert bootstrap_ci(deltas) == scalar_bootstrap_ci(
+            deltas, 0.95, 2000, 2010
+        )
+        assert permutation_pvalue(deltas) == scalar_permutation_pvalue(
+            deltas, 2000, 2010
+        )
+
+    @pytest.mark.parametrize("n", [1, 13, 40])
+    def test_all_zero_deltas(self, n):
+        deltas = [0.0] * n
+        assert bootstrap_ci(deltas, resamples=300) == (0.0, 0.0)
+        assert permutation_pvalue(deltas, resamples=300) == (
+            scalar_permutation_pvalue(deltas, 300, 2010)
+        ) == 1.0

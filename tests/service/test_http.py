@@ -5,7 +5,9 @@ A real ``ThreadingHTTPServer`` is booted on port 0 with an inline
 go through ``urllib`` exactly as external clients would.
 """
 
+import http.client
 import json
+import statistics
 import threading
 import time
 import urllib.error
@@ -15,6 +17,7 @@ import pytest
 
 from repro.orchestrate import RunSummary, SimJob
 from repro.service import JobBroker, ServiceConfig, create_server
+from repro.service.app import MAX_REPORT_RESAMPLES
 from repro.telemetry.schema import (
     EVAL_REPORT_SCHEMA,
     SERVICE_METRICS_SCHEMA,
@@ -106,6 +109,26 @@ class TestLifecycle:
         assert status == 200
         assert body["status"] == "ok"
         assert body["workers"] == 0
+
+    def test_keep_alive_responses_do_not_stall(self, service):
+        """Header and body are separate writes: with Nagle on, each
+        response on a kept-alive connection waited ~40 ms for the
+        client's delayed ACK."""
+        connection = http.client.HTTPConnection(
+            "127.0.0.1", service.port, timeout=10
+        )
+        try:
+            latencies = []
+            for _ in range(7):
+                began = time.perf_counter()
+                connection.request("GET", "/v1/healthz")
+                response = connection.getresponse()
+                assert response.status == 200
+                response.read()
+                latencies.append(time.perf_counter() - began)
+        finally:
+            connection.close()
+        assert statistics.median(latencies) < 0.020, latencies
 
     def test_submit_poll_fetch_result(self, service):
         job = make_job()
@@ -356,3 +379,33 @@ class TestReportEndpoint:
     def test_unknown_sweep_is_404(self, service):
         status, _, _ = service.request("GET", "/v1/sweeps/nope/report")
         assert status == 404
+
+    @pytest.mark.parametrize(
+        "resamples", ["0", "-5", str(MAX_REPORT_RESAMPLES + 1), "many"]
+    )
+    def test_resamples_out_of_range_is_400(self, service, resamples):
+        _, body, _ = service.request(
+            "POST", "/v1/sweeps", job_spec(make_job())
+        )
+        sweep_id = body["sweep"]["id"]
+        service.wait_done(sweep_id)
+        status, body, _ = service.request(
+            "GET", f"/v1/sweeps/{sweep_id}/report?resamples={resamples}"
+        )
+        assert status == 400
+        assert "resamples" in body["error"]
+
+    def test_resamples_lower_bound_is_accepted(self, tmp_path):
+        live = LiveService(tmp_path, execute=policy_sensitive_summary).start()
+        try:
+            spec = job_spec(make_job(), make_job(tla="qbs"))
+            _, body, _ = live.request("POST", "/v1/sweeps", spec)
+            sweep_id = body["sweep"]["id"]
+            live.wait_done(sweep_id)
+            status, report, _ = live.request(
+                "GET", f"/v1/sweeps/{sweep_id}/report?resamples=1"
+            )
+            assert status == 200
+            assert report["resamples"] == 1
+        finally:
+            live.stop()

@@ -9,6 +9,10 @@ the scalar loop as the executable specification and checks the two
 against each other across every shipped application profile plus
 hand-built edge-case mixtures (bursts spanning batch boundaries,
 sequential streams, degenerate one-line regions).
+
+The simulator feed (:func:`repro.workloads.synthetic.mixture_feed`)
+is a second view of the same batches; it must yield the record view's
+values as plain tuples.
 """
 
 import itertools
@@ -18,8 +22,9 @@ import pytest
 np = pytest.importorskip("numpy")
 
 from repro.access import AccessType
-from repro.config import HierarchyConfig
-from repro.workloads.spec import SPEC_APPS, app_profile
+from repro.config import HierarchyConfig, baseline_hierarchy
+from repro.workloads import WorkloadMix
+from repro.workloads.spec import SPEC_APPS, app_feed, app_profile, app_trace
 from repro.workloads.synthetic import (
     CODE_BASE,
     DATA_BASE,
@@ -28,6 +33,8 @@ from repro.workloads.synthetic import (
     RegionSpec,
     _exponential_mean_for_floored,
     _mixture_trace_numpy,
+    mixture_feed,
+    mixture_trace,
 )
 from repro.workloads.trace import TraceRecord
 
@@ -186,3 +193,81 @@ def test_many_seeds_one_profile():
     profile = app_profile("sje").build_mixture(HierarchyConfig())
     for seed in range(8):
         assert_streams_identical(profile, seed=seed, base_address=0, count=5_000)
+
+
+# -- the simulator feed view ---------------------------------------------------
+
+#: the numpy engine's batch length; feed checks span at least 3 batches.
+BATCH = 4096
+
+
+def assert_feed_matches_records(feed, records, count):
+    """Consume ``feed`` the way a core does (unpack at once, so zip's
+    tuple is reused) and compare with the record view."""
+    for index in range(count):
+        gap, kind, address = next(feed)
+        record = next(records)
+        assert (gap, kind, address) == record, f"record {index}"
+        assert kind is record.kind
+        assert type(gap) is int and type(address) is int
+
+
+@pytest.mark.parametrize("name", sorted(SPEC_APPS))
+def test_app_feed_matches_app_trace(name):
+    reference = baseline_hierarchy(2, scale=1 / 64)
+    for core_id in (0, 1):
+        assert_feed_matches_records(
+            app_feed(name, reference, core_id),
+            app_trace(name, reference, core_id),
+            count=3 * BATCH + 517,
+        )
+
+
+def carries_burst_across_batches(records, profile):
+    """Does a visit to a bursty region straddle a batch boundary?"""
+    bursty = {i for i, region in enumerate(profile.regions) if region.burst > 1}
+    data = [
+        (index, record.address)
+        for index, record in enumerate(records)
+        if record.kind is not AccessType.IFETCH
+    ]
+    return any(
+        before // BATCH != after // BATCH
+        and address == previous
+        and (address - DATA_BASE) // REGION_STRIDE in bursty
+        for (before, previous), (after, address) in zip(data, data[1:])
+    )
+
+
+@pytest.mark.parametrize("name", ["h26", "pov", "xal"])
+def test_bursty_feeds_match_across_batch_boundaries(name):
+    profile = app_profile(name).build_mixture(HierarchyConfig())
+    count = 3 * BATCH + 1
+    for seed in range(64):
+        records = list(itertools.islice(mixture_trace(profile, seed), count))
+        if carries_burst_across_batches(records, profile):
+            break
+    else:
+        pytest.fail(f"no {name} seed carries a burst across a batch boundary")
+    assert_feed_matches_records(
+        mixture_feed(profile, seed), iter(records), count
+    )
+
+
+@pytest.mark.parametrize("name", sorted(EDGE_PROFILES))
+def test_edge_profile_feeds_match_records(name):
+    profile = EDGE_PROFILES[name]
+    assert_feed_matches_records(
+        mixture_feed(profile, 99, 1 << 40),
+        mixture_trace(profile, 99, 1 << 40),
+        count=3 * BATCH + 1,
+    )
+
+
+def test_mix_feeds_yield_plain_tuples():
+    mix = WorkloadMix("MIX_05", ("h26", "gob"))
+    for feed, trace in zip(mix.feeds(), mix.traces()):
+        # Kept items (here, in a list) are fresh tuples, not reused.
+        kept = list(itertools.islice(feed, 5))
+        assert all(type(item) is tuple for item in kept)
+        assert kept == [tuple(record) for record in itertools.islice(trace, 5)]
