@@ -33,6 +33,7 @@ per-line object to hand out).
 
 from __future__ import annotations
 
+import weakref
 from array import array
 from typing import Collection, Dict, Iterator, List, Optional, Tuple
 
@@ -151,6 +152,14 @@ class Cache:
             and not self._index_hash
         ):
             self.access = self._make_lru_access()
+        # ``fill`` likewise, but only for plain LRU: LIP and MRU change
+        # the insertion stamp and the victim choice.
+        if (
+            type(self).fill is Cache.fill
+            and type(self.policy) is LRUPolicy
+            and not self._index_hash
+        ):
+            self.fill = self._make_lru_fill()
 
     # -- geometry helpers ---------------------------------------------------
     def set_index_of(self, line_addr: int) -> int:
@@ -331,6 +340,91 @@ class Cache:
             victim = self.evict_way(set_index, way)
         self.fill_way(set_index, way, line_addr, dirty)
         return victim
+
+    def _make_lru_fill(self):
+        """Build the specialised fill closure (see __init__).
+
+        One body doing what :meth:`fill` does through
+        :meth:`find_invalid_way`, ``select_victim``, :meth:`evict_way`
+        and :meth:`fill_way` for an un-hashed cache under plain
+        :class:`LRUPolicy`.  The victim is the lowest stamp: stamps are
+        pairwise distinct, so it is the way ``select_victim`` picks.  A
+        non-empty ``exclude_ways`` takes the generic path (through a
+        weak reference, so the closure adds no cache -> closure -> cache
+        reference cycle).
+        """
+        cache_ref = weakref.ref(self)
+        res_map = self._map
+        map_get = res_map.get
+        stats = self.stats
+        set_mask = self._set_mask
+        assoc = self.associativity
+        policy = self.policy
+        stamp = policy._stamp
+        clock = policy._clock
+        cold = policy._cold
+        addrs = self._addrs
+        valid_find = self._valid.find
+        valid = self._valid
+        dirty_bits = self._dirty
+
+        def fill(
+            line_addr: int,
+            dirty: bool = False,
+            exclude_ways: Collection[int] = (),
+        ) -> Optional[EvictedLine]:
+            if exclude_ways:
+                return Cache.fill(cache_ref(), line_addr, dirty, exclude_ways)
+            set_index = line_addr & set_mask
+            base = set_index * assoc
+            way = map_get(line_addr)
+            if way is not None:
+                # Already resident: merge the dirty bit, LRU hit update.
+                slot = base + way
+                if dirty:
+                    dirty_bits[slot] = 1
+                top = clock[set_index]
+                if stamp[slot] == top:
+                    policy.last_hit_was_mru = True
+                else:
+                    policy.last_hit_was_mru = False
+                    top += 1
+                    clock[set_index] = top
+                    stamp[slot] = top
+                return None
+            end = base + assoc
+            slot = valid_find(0, base, end)
+            if slot < 0:
+                ways = stamp[base:end]
+                way = ways.index(min(ways))
+                slot = base + way
+                victim_addr = addrs[slot]
+                victim_dirty = dirty_bits[slot]
+                victim = EvictedLine(victim_addr, bool(victim_dirty))
+                del res_map[victim_addr]
+                stats.evictions += 1
+                if victim_dirty:
+                    stats.dirty_evictions += 1
+                # LRUPolicy.on_invalidate: cold stamp, clock resync.
+                cold_stamp = cold[set_index] - 1
+                cold[set_index] = cold_stamp
+                stamp[slot] = cold_stamp
+                top = max(stamp[base:end]) + 1
+            else:
+                way = slot - base
+                victim = None
+                valid[slot] = 1
+                top = clock[set_index] + 1
+            # fill_way + LRUPolicy.on_fill.
+            addrs[slot] = line_addr
+            dirty_bits[slot] = 1 if dirty else 0
+            res_map[line_addr] = way
+            clock[set_index] = top
+            stamp[slot] = top
+            stats.fills += 1
+            return victim
+
+        return fill
 
     def invalidate(self, line_addr: int) -> Optional[EvictedLine]:
         """Remove ``line_addr`` if present; returns what was dropped.

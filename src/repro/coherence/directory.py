@@ -31,8 +31,10 @@ class Directory:
 
     def on_fill_to_core(self, line_addr: int, core_id: int) -> None:
         """A copy of ``line_addr`` was sent toward ``core_id``'s caches."""
-        self._check_core(core_id)
-        self._sharers[line_addr] = self._sharers.get(line_addr, 0) | (1 << core_id)
+        if not 0 <= core_id < self.num_cores:  # inline: runs per L2 miss
+            self._check_core(core_id)
+        sharers = self._sharers
+        sharers[line_addr] = sharers.get(line_addr, 0) | (1 << core_id)
 
     def on_core_invalidated(self, line_addr: int, core_id: int) -> None:
         """``core_id``'s copy was invalidated (back-inval or ECI)."""

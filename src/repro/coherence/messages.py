@@ -39,6 +39,12 @@ class MessageType(enum.Enum):
     #: snoop probe to a core (non-inclusive hierarchies lack the filter)
     SNOOP_PROBE = "snoop_probe"
 
+    # Members are singletons compared by identity and only ever used as
+    # keys of insertion-ordered dicts, so the identity hash (in C) can
+    # replace ``Enum.__hash__`` (a Python call hashing the name) on the
+    # per-message ``TrafficMeter.record`` path.
+    __hash__ = object.__hash__
+
 
 @dataclass
 class TrafficMeter:

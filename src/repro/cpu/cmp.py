@@ -151,8 +151,11 @@ class CMPSimulator:
 
         Args:
             check_invariants_every: if positive, call the hierarchy's
-                structural invariant check every N steps (slow; for
-                tests).
+                structural invariant check at the first burst boundary
+                at or after every multiple of N steps, and once at the
+                end (slow; for tests).  The check only reads state and
+                the bursts stay the same length, so checked and
+                unchecked runs simulate identically.
         """
         # ``active`` cores still have trace left to execute; ``remaining``
         # counts cores that have not yet finished their quota.  Cores
@@ -165,42 +168,60 @@ class CMPSimulator:
         # contention timescale that matters.
         active = list(self.cores)
         remaining = sum(1 for core in self.cores if not core.done)
-        burst = 1 if check_invariants_every else 8
+        burst = 8
         steps = 0
+        next_check = check_invariants_every
         timer = self.phase_timer
         wall_start = time.perf_counter()
+        # One burst driver per core for the whole run (None for a core
+        # with a probe attached, which steps through ``step_burst``).
+        # Held only here, so no core <-> generator cycle outlives it.
+        drivers = {core: core.burst_driver(burst) for core in self.cores}
         if timer is not None:
             timer.enter(PHASE_SIM_LOOP)
-        while remaining:
-            # Earliest-in-time election; the unrolled one- and two-core
-            # forms pick the same core ``min`` would (first on ties)
-            # without the key-function call or the ``cycles`` property.
-            n_active = len(active)
-            if n_active == 1:
-                core = active[0]
-            elif n_active == 2:
-                core, other = active
-                if other.timing.cycles < core.timing.cycles:
-                    core = other
-            else:
-                core = min(active, key=_core_clock)
-            executed, transitioned, exhausted = core.step_burst(
-                burst, stop_when_done=(remaining == 1)
-            )
-            steps += executed
-            if transitioned:
-                remaining -= 1
-            if exhausted:
-                active.remove(core)
-                if not active and remaining:
-                    raise SimulationError(
-                        "all traces exhausted before every quota was met"
+        try:
+            while remaining:
+                # Earliest-in-time election; the unrolled one- and
+                # two-core forms pick the same core ``min`` would (first
+                # on ties) without the key-function call or the
+                # ``cycles`` property.
+                n_active = len(active)
+                if n_active == 1:
+                    core = active[0]
+                elif n_active == 2:
+                    core, other = active
+                    if other.timing.cycles < core.timing.cycles:
+                        core = other
+                else:
+                    core = min(active, key=_core_clock)
+                driver = drivers[core]
+                if driver is None:
+                    executed, transitioned, exhausted = core.step_burst(
+                        burst, remaining == 1
                     )
-            if (
-                check_invariants_every
-                and steps % check_invariants_every == 0
-            ):
-                self.hierarchy.check_invariants()
+                else:
+                    executed, transitioned, exhausted = driver.send(
+                        remaining == 1
+                    )
+                steps += executed
+                if transitioned:
+                    remaining -= 1
+                if exhausted:
+                    active.remove(core)
+                    if not active and remaining:
+                        raise SimulationError(
+                            "all traces exhausted before every quota was met"
+                        )
+                if check_invariants_every and steps >= next_check:
+                    self.hierarchy.check_invariants()
+                    next_check = (
+                        steps - steps % check_invariants_every
+                        + check_invariants_every
+                    )
+        finally:
+            for driver in drivers.values():
+                if driver is not None:
+                    driver.close()
         if timer is not None:
             timer.exit()
         if check_invariants_every:

@@ -8,13 +8,14 @@ shared LLC — the methodology of paper Section IV.B.
 
 from __future__ import annotations
 
-from typing import Iterator, Optional, Tuple
+from typing import Generator, Iterator, Optional, Tuple
 
 from ..access import AccessType
 from ..cache import Cache
 from ..config import SimConfig
 from ..errors import SimulationError
 from ..hierarchy import HIT_LLC, BaseHierarchy
+from ..hierarchy.levels import CoreCaches
 from ..hierarchy.mshr import MSHRFile
 from ..perf.phase import PHASE_L1_ACCESS, PHASE_TRACE_GEN
 from ..prefetch import make_prefetcher
@@ -139,7 +140,7 @@ class SimulatedCore:
         return True
 
     def step_burst(self, count: int, stop_when_done: bool) -> Tuple[int, bool, bool]:
-        """Process up to ``count`` trace records in one call (hot path).
+        """Process up to ``count`` trace records in one call.
 
         Returns ``(steps_executed, transitioned, exhausted)`` where
         ``transitioned`` reports whether this burst crossed the core's
@@ -152,42 +153,84 @@ class SimulatedCore:
         simulation's logical end.
 
         Observable behaviour is identical to ``count`` calls of
-        :meth:`step`; the win is hoisting attribute lookups and method
-        binding out of the per-record loop, and — when no hook of any
-        kind is attached — probing the L1 inline so the common L1-hit
-        record never leaves this frame.  Attached telemetry /
-        prefetcher hooks fall back to the plain loop; a phase timer
-        gets its own burst loop.
+        :meth:`step`.  With no probe attached this runs one burst of
+        the bare loop (:meth:`burst_driver`, which a whole run resumes
+        instead of paying its set-up per burst); telemetry or
+        prefetcher hooks fall back to plain :meth:`step` calls, a phase
+        timer gets its own burst loop, and a sanitizer or subclassed
+        hierarchy/cache access the hoisted-bindings loop.
         """
+        driver = self.burst_driver(count)
+        if driver is not None:
+            try:
+                return driver.send(stop_when_done)
+            finally:
+                driver.close()
         if self._collector is not None or self.prefetcher is not None:
             return self._step_burst_slow(count, stop_when_done)
         if self._phase_timer is not None:
             return self._step_burst_timer(count, stop_when_done)
+        return self._step_burst_plain(count, stop_when_done)
+
+    def burst_driver(
+        self, count: int
+    ) -> Optional[Generator[Tuple[int, bool, bool], bool, None]]:
+        """The resumable bare loop, or None when a probe is attached.
+
+        Probes are a sanitizer, an interval collector, a prefetcher, a
+        phase timer (on this core or the hierarchy), or subclassed
+        hierarchy/L1 ``access`` methods; with any of them the caller
+        uses :meth:`step_burst`.  Otherwise this returns a primed
+        generator: each ``send(stop_when_done)`` runs one burst of up to
+        ``count`` records with :meth:`step_burst`'s semantics and yields
+        its ``(steps_executed, transitioned, exhausted)``.  After a
+        burst that reports ``exhausted`` the generator is finished.
+        While it is live, advance the core only through it (it keeps
+        the instruction and cycle counts in locals between bursts).
+        The caller owns the generator and should ``close()`` it when
+        done; the core keeps no reference to it.
+        """
         hierarchy = self.hierarchy
         if (
-            hierarchy.sanitizer is not None
-            or hierarchy._tla_hit_hook is not None
+            self._collector is not None
+            or self.prefetcher is not None
+            or self._phase_timer is not None
+            or hierarchy.sanitizer is not None
             or hierarchy.phase_timer is not None
             or type(hierarchy).access is not BaseHierarchy.access
         ):
-            return self._step_burst_plain(count, stop_when_done)
+            return None
         core = hierarchy.cores[self.core_id]
         if (
             type(core.l1i).access is not Cache.access
             or type(core.l1d).access is not Cache.access
         ):
-            return self._step_burst_plain(count, stop_when_done)
+            return None
+        driver = self._bare_loop(core, count)
+        next(driver)
+        return driver
 
-        # Inline loop: the L1 probe and hit accounting happen right
-        # here; only L1 misses call into the hierarchy.  Instruction
-        # and cycle counts live in locals, flushed to the timing model
-        # around every out-of-frame call so observable state is always
-        # consistent — and the float operations (two adds when a gap
-        # is present, one otherwise) are performed in exactly the
-        # order ``CoreTimingModel.step_account`` performs them.
+    def _bare_loop(
+        self, core: CoreCaches, count: int
+    ) -> Generator[Tuple[int, bool, bool], bool, None]:
+        """Generator body of :meth:`burst_driver` (hot path).
+
+        The L1 probe and hit accounting happen right here, including
+        the TLA hit hook where ``BaseHierarchy.access`` calls it; only
+        L1 misses call into the hierarchy.  Instruction and cycle
+        counts live in locals, flushed to the timing model around every
+        out-of-frame call and at every yield, so observable state is
+        always consistent between bursts — and the float operations
+        (two adds when a gap is present, one otherwise) are performed in
+        exactly the order ``CoreTimingModel.step_account`` performs
+        them.  Only this core's own steps move its timing model, so the
+        locals stay valid while the generator is suspended.
+        """
+        hierarchy = self.hierarchy
         timing = self.timing
         trace_next = self.trace.__next__
         beyond_l1 = hierarchy._beyond_l1
+        hit_hook = hierarchy._tla_hit_hook
         step_account = timing.step_account
         core_id = self.core_id
         stats = hierarchy.core_stats[core_id]
@@ -197,82 +240,91 @@ class SimulatedCore:
         base_cpi = timing.timing.base_cpi
         warmup = self.warmup
         quota_end = self._quota_end
-        transitioned = False
         instructions = timing.instructions
         cycles = timing.cycles
         is_done = self._exhausted or instructions >= quota_end
-        for step_index in range(count):
-            try:
-                gap, kind, address = trace_next()
-            except StopIteration:
-                timing.instructions = instructions
-                timing.cycles = cycles
-                self._exhausted = True
-                self._finish()
-                return step_index + 1, transitioned or not is_done, True
-            recording = warmup <= instructions < quota_end
-            line_addr = address >> line_shift
-            if kind is _IFETCH:
-                is_ifetch = True
-                is_write = False
-                if recording:
-                    stats.l1i_accesses += 1
-                hit = l1i_access(line_addr)
-                if not hit and recording:
-                    stats.l1i_misses += 1
-            else:
-                is_ifetch = False
-                is_write = kind is _STORE
-                if recording:
-                    stats.l1d_accesses += 1
-                hit = l1d_access(line_addr, write=is_write)
-                if not hit and recording:
-                    stats.l1d_misses += 1
-            if hit:
-                if gap > 0:
-                    instructions += gap
-                    cycles += gap * base_cpi
-                instructions += 1
-                cycles += base_cpi
-            else:
-                timing.instructions = instructions
-                timing.cycles = cycles
-                level = beyond_l1(
-                    core_id,
-                    core,
-                    stats if recording else None,
-                    line_addr,
-                    is_ifetch,
-                    is_write,
-                )
-                step_account(gap, level, kind)
-                instructions = timing.instructions
-                cycles = timing.cycles
-            if self.cycles_at_warmup < 0 and instructions >= warmup:
-                self.cycles_at_warmup = cycles
-            if not is_done and instructions >= quota_end:
-                is_done = True
-                transitioned = True
-                if recording:
+        stop_when_done = yield
+        while True:
+            executed = count
+            transitioned = False
+            for step_index in range(count):
+                try:
+                    gap, kind, address = trace_next()
+                except StopIteration:
                     timing.instructions = instructions
                     timing.cycles = cycles
-                    self._finish()  # drain may advance the clock
+                    self._exhausted = True
+                    self._finish()
+                    yield step_index + 1, transitioned or not is_done, True
+                    return
+                recording = warmup <= instructions < quota_end
+                line_addr = address >> line_shift
+                if kind is _IFETCH:
+                    is_ifetch = True
+                    is_write = False
+                    if recording:
+                        stats.l1i_accesses += 1
+                    hit = l1i_access(line_addr)
+                    if hit:
+                        if hit_hook is not None:
+                            hit_hook(core_id, "il1", line_addr)
+                    elif recording:
+                        stats.l1i_misses += 1
+                else:
+                    is_ifetch = False
+                    is_write = kind is _STORE
+                    if recording:
+                        stats.l1d_accesses += 1
+                    hit = l1d_access(line_addr, write=is_write)
+                    if hit:
+                        if hit_hook is not None:
+                            hit_hook(core_id, "dl1", line_addr)
+                    elif recording:
+                        stats.l1d_misses += 1
+                if hit:
+                    if gap > 0:
+                        instructions += gap
+                        cycles += gap * base_cpi
+                    instructions += 1
+                    cycles += base_cpi
+                else:
+                    timing.instructions = instructions
+                    timing.cycles = cycles
+                    level = beyond_l1(
+                        core_id,
+                        core,
+                        stats if recording else None,
+                        line_addr,
+                        is_ifetch,
+                        is_write,
+                    )
+                    step_account(gap, level, kind)
                     instructions = timing.instructions
                     cycles = timing.cycles
-                if stop_when_done:
-                    timing.instructions = instructions
-                    timing.cycles = cycles
-                    return step_index + 1, True, False
-        timing.instructions = instructions
-        timing.cycles = cycles
-        return count, transitioned, False
+                if self.cycles_at_warmup < 0 and instructions >= warmup:
+                    self.cycles_at_warmup = cycles
+                if not is_done and instructions >= quota_end:
+                    is_done = True
+                    transitioned = True
+                    if recording:
+                        timing.instructions = instructions
+                        timing.cycles = cycles
+                        self._finish()  # drain may advance the clock
+                        instructions = timing.instructions
+                        cycles = timing.cycles
+                    if stop_when_done:
+                        executed = step_index + 1
+                        break
+            timing.instructions = instructions
+            timing.cycles = cycles
+            stop_when_done = yield executed, transitioned, False
 
     def _step_burst_plain(
         self, count: int, stop_when_done: bool
     ) -> Tuple[int, bool, bool]:
-        """Hoisted-bindings burst used when the inline L1 path is unsafe
-        (sanitizer attached, TLH hit hook installed, or subclassed
-        hierarchy/cache access methods)."""
+        """Hoisted-bindings burst used when the bare loop is unsafe
+        (sanitizer attached, a phase timer on the hierarchy only, or
+        subclassed hierarchy/cache access methods)."""
         timing = self.timing
         trace_next = self.trace.__next__
         access = self.hierarchy.access

@@ -32,6 +32,10 @@ from ..config import TimingConfig
 from ..hierarchy import HIT_L1, HIT_L2, HIT_LLC, HIT_MEMORY
 from ..hierarchy.mshr import MSHRFile
 
+# Hoisted enum members for the per-miss path (see repro.cpu.core).
+_IFETCH = AccessType.IFETCH
+_STORE = AccessType.STORE
+
 
 class CoreTimingModel:
     """Cycle accounting for one core."""
@@ -45,10 +49,10 @@ class CoreTimingModel:
         # data-return cycle), oldest first.
         self._pending: Deque[Tuple[int, float]] = deque()
         self._latency = {
-            HIT_L1: timing.l1_latency,
-            HIT_L2: timing.l2_latency,
-            HIT_LLC: timing.llc_latency,
-            HIT_MEMORY: timing.llc_latency + timing.memory_latency,
+            HIT_L1: float(timing.l1_latency),
+            HIT_L2: float(timing.l2_latency),
+            HIT_LLC: float(timing.llc_latency),
+            HIT_MEMORY: float(timing.llc_latency + timing.memory_latency),
         }
 
     def advance(self, instruction_count: int) -> None:
@@ -58,54 +62,66 @@ class CoreTimingModel:
             self.cycles += instruction_count * self.timing.base_cpi
 
     def step_account(self, gap: int, level: int, kind: AccessType) -> None:
-        """Fused ``advance(gap)`` + ``record_access(level, kind)``.
+        """Fused ``advance(gap)`` + the accounting of one memory access.
 
-        The burst step loop calls this once per trace record instead of
-        paying two method calls.  It performs exactly the same
-        floating-point operations in the same order as the separate
-        calls, so cycle counts stay bit-identical either way.
+        The burst loops call this once per trace record (the inline-L1
+        loops only for records that left the L1).  The whole miss path
+        runs on locals in one body: retire returned misses, stall while
+        the ROB is full behind the oldest unresolved one, then charge
+        this access's exposed latency.  It performs the same floating-point operations in the
+        same order as separate ``advance`` and ``record_access`` calls,
+        so cycle counts stay bit-identical either way.
         """
+        timing = self.timing
+        base_cpi = timing.base_cpi
+        instructions = self.instructions
+        cycles = self.cycles
         if gap > 0:
-            self.instructions += gap
-            self.cycles += gap * self.timing.base_cpi
-        self.instructions += 1
-        self.cycles += self.timing.base_cpi
+            instructions += gap
+            cycles += gap * base_cpi
+        instructions += 1
+        cycles += base_cpi
         if level == HIT_L1:
-            return  # pipelined; no visible stall
-        self._account_miss(level, kind)
-
-    def record_access(self, level: int, kind: AccessType) -> None:
-        """Account for one memory instruction that hit at ``level``."""
-        self.instructions += 1
-        self.cycles += self.timing.base_cpi
-        if level == HIT_L1:
-            return  # pipelined; no visible stall
-        self._account_miss(level, kind)
-
-    def _account_miss(self, level: int, kind: AccessType) -> None:
-        """Stall accounting for an access that left the L1."""
-        self._retire_returned()
-        self._stall_on_full_rob()
-
-        latency = float(self._latency[level])
-        if self.mshr is not None and level >= HIT_LLC:
-            issue = self.mshr.allocate(int(self.cycles), int(latency))
+            # Pipelined; no visible stall.
+            self.instructions = instructions
+            self.cycles = cycles
+            return
+        pending = self._pending
+        # Misses whose data has returned leave the window.
+        while pending and pending[0][1] <= cycles:
+            pending.popleft()
+        # The ROB cannot retire past an unresolved oldest miss.
+        window = timing.rob_window
+        while pending and instructions - pending[0][0] >= window:
+            return_cycle = pending.popleft()[1]
+            if return_cycle > cycles:
+                cycles = return_cycle
+        latency = self._latency[level]
+        mshr = self.mshr
+        if mshr is not None and level >= HIT_LLC:
+            issue = mshr.allocate(int(cycles), int(latency))
             return_cycle = issue + latency
         else:
-            return_cycle = self.cycles + latency
-        if kind is AccessType.IFETCH:
+            return_cycle = cycles + latency
+        if kind is _IFETCH:
             # Front-end stall: fetch misses serialise and overlap with
             # nothing downstream.
-            exposure = self.timing.ifetch_exposure
+            exposure = timing.ifetch_exposure
         else:
             # Memory-level parallelism: the more misses already in
             # flight, the more of this one's latency overlaps with
             # them.  Isolated (dependent) misses pay nearly full price.
-            exposure = self.timing.load_exposure / (1 + len(self._pending))
-            if kind is AccessType.STORE:
-                exposure *= self.timing.store_stall_fraction
-        self.cycles += (return_cycle - self.cycles) * exposure
-        self._pending.append((self.instructions, return_cycle))
+            exposure = timing.load_exposure / (1 + len(pending))
+            if kind is _STORE:
+                exposure *= timing.store_stall_fraction
+        cycles += (return_cycle - cycles) * exposure
+        pending.append((instructions, return_cycle))
+        self.instructions = instructions
+        self.cycles = cycles
+
+    def record_access(self, level: int, kind: AccessType) -> None:
+        """Account for one memory instruction that hit at ``level``."""
+        self.step_account(0, level, kind)
 
     def drain(self) -> None:
         """Wait for all outstanding misses (end of simulation)."""
@@ -118,19 +134,3 @@ class CoreTimingModel:
     @property
     def ipc(self) -> float:
         return self.instructions / self.cycles if self.cycles else 0.0
-
-    # -- internals -------------------------------------------------------------
-    def _retire_returned(self) -> None:
-        pending = self._pending
-        now = self.cycles
-        while pending and pending[0][1] <= now:
-            pending.popleft()
-
-    def _stall_on_full_rob(self) -> None:
-        """The ROB cannot retire past an unresolved oldest miss."""
-        window = self.timing.rob_window
-        pending = self._pending
-        while pending and self.instructions - pending[0][0] >= window:
-            issued_at, return_cycle = pending.popleft()
-            if return_cycle > self.cycles:
-                self.cycles = return_cycle

@@ -281,7 +281,7 @@ class BaseHierarchy:
         level = self._llc_demand(core_id, line_addr, stats)
 
         # Fill the L1 on the way back; the victim L2 is filled by L1
-        # spills, not by demand fills (see CoreCaches.fill_l1).  An
+        # spills, not by demand fills (see CoreCaches.spill_into_l2).  An
         # exclusive LLC hands any dirty state from its invalidated
         # copy to the incoming L1 line.
         fill_dirty = self._fill_dirty
@@ -330,13 +330,20 @@ class BaseHierarchy:
     def _fill_core_l1(
         self, core: CoreCaches, line_addr: int, is_ifetch: bool, is_write: bool
     ) -> None:
-        l1_victim = core.fill_l1(line_addr, is_ifetch, dirty=is_write)
+        """Fill the demanding L1; its victim, if any, spills to the L2."""
+        l1 = core.l1i if is_ifetch else core.l1d
+        l1_victim = l1.fill(line_addr, dirty=is_write)
         if l1_victim is not None:
             self._spill_to_l2(core, l1_victim)
 
     def _spill_to_l2(self, core: CoreCaches, victim: EvictedLine) -> None:
-        """Victim-allocate an L1 eviction into the core's L2."""
-        displaced = core.spill_into_l2(victim)
+        """Victim-allocate an L1 eviction into the core's L2.
+
+        The override point for each hierarchy mode's spill policy (see
+        :meth:`repro.hierarchy.levels.CoreCaches.spill_into_l2` for why
+        the L2 is allocated on L1 evictions).
+        """
+        displaced = core.l2.fill(victim.line_addr, dirty=victim.dirty)
         if displaced is not None:
             self._handle_l2_victim(core, displaced)
 

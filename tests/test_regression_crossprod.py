@@ -2,12 +2,14 @@
 
 The single-configuration golden run (``test_regression_golden``) pins
 the baseline machine; this suite pins one digest per (hierarchy mode,
-TLA preset, victim-cache) combination — with CacheSan sanitizers
-enabled throughout — so a storage- or policy-layer change that is only
-correct for the baseline path cannot slip through.  Every value here
-was generated from the pre-packed-tag-store object model and verified
-byte-identical against the packed engine, so these digests double as
-the refactor's equivalence certificate.
+TLA preset, victim-cache) combination so a storage- or policy-layer
+change that is only correct for the baseline path cannot slip through.
+Every combination runs twice against the same table: with CacheSan
+sanitizers on (the core's probed burst loop) and off (the bare loop,
+which probes the L1 inline), so each loop is pinned on every mode and
+policy.  Every value here was generated from the pre-packed-tag-store
+object model and verified byte-identical against the packed engine,
+so these digests double as the refactor's equivalence certificate.
 
 IPCs are pinned by exact ``repr`` (bit-identical floats): the packed
 tag store and the fused timing accounting are required to perform the
@@ -15,6 +17,7 @@ same float operations in the same order as the original code.
 """
 
 import dataclasses
+import os
 
 import pytest
 
@@ -71,27 +74,22 @@ GOLDEN = {
 }
 
 
-def run_combo(mode: str, preset: str, victim_entries: int):
+def build_combo(mode: str, preset: str, victim_entries: int, sanitize: bool):
     reference = baseline_hierarchy(2, scale=SCALE)
     hier = dataclasses.replace(
         baseline_hierarchy(2, mode=mode, tla=tla_preset(preset), scale=SCALE),
         victim_cache_entries=victim_entries,
-        sanitize=SanitizeConfig(enabled=True, interval=2_000),
+        sanitize=SanitizeConfig(enabled=sanitize, interval=2_000),
     )
     config = SimConfig(
         hierarchy=hier, instruction_quota=QUOTA, warmup_instructions=WARMUP
     )
-    return CMPSimulator(config, mix_by_name("MIX_10").traces(reference)).run()
+    return CMPSimulator(config, mix_by_name("MIX_10").traces(reference))
 
 
-@pytest.mark.parametrize(
-    "combo", sorted(GOLDEN), ids=lambda c: f"{c[0]}-{c[1]}-vc{c[2]}"
-)
-def test_mode_tla_cross_product_matches_seed(combo):
-    mode, preset, victim_entries = combo
-    result = run_combo(mode, preset, victim_entries)
+def digest_of(result):
     traffic = result.traffic
-    digest = (
+    return (
         result.total_inclusion_victims,
         result.total_llc_misses,
         result.llc_stats["evictions"],
@@ -105,4 +103,25 @@ def test_mode_tla_cross_product_matches_seed(combo):
         repr(result.ipcs[0]),
         repr(result.ipcs[1]),
     )
-    assert digest == GOLDEN[combo]
+
+
+combos = pytest.mark.parametrize(
+    "combo", sorted(GOLDEN), ids=lambda c: f"{c[0]}-{c[1]}-vc{c[2]}"
+)
+
+
+@combos
+def test_mode_tla_cross_product_matches_seed(combo):
+    """Sanitizers on: the core runs its probed (hook-calling) loop."""
+    sim = build_combo(*combo, sanitize=True)
+    assert digest_of(sim.run()) == GOLDEN[combo]
+
+
+@combos
+def test_mode_tla_cross_product_bare_loop_matches_seed(combo):
+    """Sanitizers off: the core runs its bare loop (inline L1 probe)."""
+    if "REPRO_SANITIZE" in os.environ:
+        pytest.skip("REPRO_SANITIZE overrides the per-config sanitizer switch")
+    sim = build_combo(*combo, sanitize=False)
+    assert sim.hierarchy.sanitizer is None
+    assert digest_of(sim.run()) == GOLDEN[combo]

@@ -62,6 +62,23 @@ class TestGoldenRun:
         assert again.ipcs == golden_run.ipcs
         assert again.traffic == golden_run.traffic
 
+    def test_invariant_checks_do_not_perturb(self, golden_run):
+        """Periodic invariant checks keep the run's burst length, so
+        the cores interleave exactly as in the unchecked golden run."""
+        reference = baseline_hierarchy(2, scale=SCALE)
+        config = SimConfig(
+            hierarchy=baseline_hierarchy(2, scale=SCALE),
+            instruction_quota=QUOTA,
+            warmup_instructions=WARMUP,
+        )
+        checked = CMPSimulator(
+            config, mix_by_name("MIX_10").traces(reference)
+        ).run(check_invariants_every=5_000)
+        assert checked.total_inclusion_victims == GOLDEN_VICTIMS
+        assert checked.total_llc_misses == GOLDEN_LLC_MISSES
+        assert checked.ipcs == golden_run.ipcs
+        assert checked.traffic == golden_run.traffic
+
 
 class TestTelemetryDoesNotPerturb:
     """Observability must be read-only: the golden numbers hold with
