@@ -116,9 +116,9 @@ class CMPSimulator:
             for core_id, trace in enumerate(traces)
         ]
         # Telemetry session: a tracer on the hierarchy/MSHR hook sites
-        # (event tracing) and an interval collector driven by the step
-        # hook (time series).  Inactive telemetry installs nothing, so
-        # the simulation paths stay hook-free.
+        # (event tracing) and an interval collector the cores tick
+        # (time series).  Inactive telemetry installs nothing, so the
+        # cores stay on their bare loops.
         self.tracer: Optional[Tracer] = None
         self._collector: Optional[IntervalCollector] = None
         if telemetry is not None and telemetry.active:
@@ -149,6 +149,11 @@ class CMPSimulator:
     def run(self, check_invariants_every: int = 0) -> SimResult:
         """Run until every core completes its quota; returns results.
 
+        Each core is advanced through one burst driver for the whole
+        run (``SimulatedCore.burst_driver``: the bare loop, or the
+        probed loop when a sanitizer, telemetry, a phase timer or a
+        prefetcher is attached), resumed once per burst.
+
         Args:
             check_invariants_every: if positive, call the hierarchy's
                 structural invariant check at the first burst boundary
@@ -173,9 +178,9 @@ class CMPSimulator:
         next_check = check_invariants_every
         timer = self.phase_timer
         wall_start = time.perf_counter()
-        # One burst driver per core for the whole run (None for a core
-        # with a probe attached, which steps through ``step_burst``).
-        # Held only here, so no core <-> generator cycle outlives it.
+        # One burst driver per core for the whole run (its bare or its
+        # probed loop; see ``SimulatedCore.burst_driver``).  Held only
+        # here, so no core <-> generator cycle outlives it.
         drivers = {core: core.burst_driver(burst) for core in self.cores}
         if timer is not None:
             timer.enter(PHASE_SIM_LOOP)
@@ -194,15 +199,9 @@ class CMPSimulator:
                         core = other
                 else:
                     core = min(active, key=_core_clock)
-                driver = drivers[core]
-                if driver is None:
-                    executed, transitioned, exhausted = core.step_burst(
-                        burst, remaining == 1
-                    )
-                else:
-                    executed, transitioned, exhausted = driver.send(
-                        remaining == 1
-                    )
+                executed, transitioned, exhausted = drivers[core].send(
+                    remaining == 1
+                )
                 steps += executed
                 if transitioned:
                     remaining -= 1
@@ -220,8 +219,7 @@ class CMPSimulator:
                     )
         finally:
             for driver in drivers.values():
-                if driver is not None:
-                    driver.close()
+                driver.close()
         if timer is not None:
             timer.exit()
         if check_invariants_every:

@@ -64,8 +64,8 @@ class CoreTimingModel:
     def step_account(self, gap: int, level: int, kind: AccessType) -> None:
         """Fused ``advance(gap)`` + the accounting of one memory access.
 
-        The burst loops call this once per trace record (the inline-L1
-        loops only for records that left the L1).  The whole miss path
+        The probed loop calls this once per trace record (the bare
+        loop only for records that left the L1).  The whole miss path
         runs on locals in one body: retire returned misses, stall while
         the ROB is full behind the oldest unresolved one, then charge
         this access's exposed latency.  It performs the same floating-point operations in the

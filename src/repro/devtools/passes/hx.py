@@ -37,17 +37,15 @@ from ..project import FunctionInfo, ProjectIndex, dotted_parts
 from ..rules import Finding
 
 #: qualname suffixes registered as hot by default: the packed
-#: tag-store access and fill closures, the burst loops (the bare loop
-#: is the ``_bare_loop`` generator), and the vectorised trace
-#: generator (see ROADMAP "vectorized epoch kernel").
+#: tag-store access and fill closures, the core's two loops (the
+#: ``_bare_loop`` and ``_probed_loop`` generators), and the vectorised
+#: trace generator (see ROADMAP "vectorized epoch kernel").
 DEFAULT_HOT_SUFFIXES = (
     "Cache.access",
     "Cache._make_lru_access",
     "Cache._make_lru_fill",
     "SimulatedCore._bare_loop",
-    "SimulatedCore._step_burst_plain",
-    "SimulatedCore._step_burst_timer_inline",
-    "SimulatedCore._step_burst_timer_plain",
+    "SimulatedCore._probed_loop",
     "_mixture_trace_numpy",
     "_mixture_batches_numpy",
 )

@@ -138,7 +138,7 @@ class BaseHierarchy:
         #: influence simulated statistics.
         self.phase_timer = None
         #: approximate global cycle clock for event timestamps, advanced
-        #: by the CPU step hook only while telemetry is active.
+        #: by the core's probed loop only while telemetry is active.
         self.clock = 0.0
         self.tla: "TLAPolicy" = _make_none_policy()
         self.tla.attach(self)
@@ -249,7 +249,7 @@ class BaseHierarchy:
     ) -> int:
         """Continue a demand access after an L1 miss (L2 -> LLC -> fills).
 
-        Split out of :meth:`access` so the CPU's burst loop can probe
+        Split out of :meth:`access` so the CPU's bare loop can probe
         the L1 inline (the hot common case) and only pay a hierarchy
         call on L1 misses.  The caller has already counted the L1
         access and miss; the phase timer, if any, is still inside the
@@ -281,7 +281,7 @@ class BaseHierarchy:
         level = self._llc_demand(core_id, line_addr, stats)
 
         # Fill the L1 on the way back; the victim L2 is filled by L1
-        # spills, not by demand fills (see CoreCaches.spill_into_l2).  An
+        # spills, not by demand fills (see _spill_to_l2).  An
         # exclusive LLC hands any dirty state from its invalidated
         # copy to the incoming L1 line.
         fill_dirty = self._fill_dirty
@@ -337,11 +337,15 @@ class BaseHierarchy:
             self._spill_to_l2(core, l1_victim)
 
     def _spill_to_l2(self, core: CoreCaches, victim: EvictedLine) -> None:
-        """Victim-allocate an L1 eviction into the core's L2.
+        """Victim-allocate an L1 eviction into the core's (non-inclusive) L2.
 
-        The override point for each hierarchy mode's spill policy (see
-        :meth:`repro.hierarchy.levels.CoreCaches.spill_into_l2` for why
-        the L2 is allocated on L1 evictions).
+        The L2 is allocated on L1 *evictions*, not on demand fills, so
+        at steady state it holds exactly what the L1s have spilled —
+        medium-reuse working sets — while constantly-hit lines live
+        only in the L1s.  (This matches the paper's observed
+        structure: QBS-L2 protects almost nothing beyond QBS-L1
+        because hot lines are not L2-resident.)  This is the override
+        point for each hierarchy mode's spill policy.
         """
         displaced = core.l2.fill(victim.line_addr, dirty=victim.dirty)
         if displaced is not None:
@@ -489,9 +493,6 @@ class BaseHierarchy:
     # -- invariant checks (tests call these) ---------------------------------------------
     def check_invariants(self) -> None:
         """Raise if the mode's structural invariant is violated."""
-
-    def total_instructions_quota_hint(self) -> None:  # pragma: no cover
-        """Placeholder for future use; quota lives in the CPU model."""
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<{type(self).__name__} cores={self.num_cores} llc={self.llc!r}>"

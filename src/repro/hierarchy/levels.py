@@ -36,9 +36,6 @@ class CoreCaches:
             return self.l2
         raise ConfigurationError(f"unknown core-cache kind {kind!r}")
 
-    def l1_for(self, is_instruction: bool) -> Cache:
-        return self.l1i if is_instruction else self.l1d
-
     # -- residency ------------------------------------------------------------
     def holds(self, line_addr: int, kinds: Iterable[str] = KINDS) -> bool:
         """True if any of the given caches currently holds the line."""
@@ -64,33 +61,7 @@ class CoreCaches:
                 dirty = dirty or dropped.dirty
         return present, dirty
 
-    # -- fills with local writeback handling -------------------------------------
-    def fill_l1(
-        self, line_addr: int, is_instruction: bool, dirty: bool = False
-    ) -> Optional[EvictedLine]:
-        """Fill the appropriate L1 and return its victim, if any.
-
-        The victim is *not* spilled here: the hierarchy controller
-        decides what an L1 eviction means for the L2 (the victim-L2
-        allocation policy lives in
-        :meth:`repro.hierarchy.base.BaseHierarchy._spill_to_l2`, which
-        the exclusive mode overrides).
-        """
-        return self.l1_for(is_instruction).fill(line_addr, dirty=dirty)
-
-    def spill_into_l2(self, victim: EvictedLine) -> Optional[EvictedLine]:
-        """Victim-allocate an L1 eviction into the (non-inclusive) L2.
-
-        The L2 is allocated on L1 *evictions*, not on demand fills, so
-        at steady state it holds exactly what the L1s have spilled —
-        medium-reuse working sets — while constantly-hit lines live
-        only in the L1s.  (This matches the paper's observed
-        structure: QBS-L2 protects almost nothing beyond QBS-L1
-        because hot lines are not L2-resident.)  Returns the displaced
-        L2 line, if any.
-        """
-        return self.l2.fill(victim.line_addr, dirty=victim.dirty)
-
+    # -- fills ------------------------------------------------------------------
     def fill_l2(self, line_addr: int, dirty: bool = False) -> Optional[EvictedLine]:
         """Fill the L2; returns the displaced line (clean or dirty), if any."""
         return self.l2.fill(line_addr, dirty=dirty)

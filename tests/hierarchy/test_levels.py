@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.cache.line import EvictedLine
 from repro.errors import ConfigurationError
 from repro.hierarchy.levels import CoreCaches
 from tests.conftest import tiny_hierarchy
@@ -22,11 +21,6 @@ class TestKindMapping:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ConfigurationError):
             make().cache_for_kind("l3")
-
-    def test_l1_for(self):
-        core = make()
-        assert core.l1_for(True) is core.l1i
-        assert core.l1_for(False) is core.l1d
 
 
 class TestResidency:
@@ -78,42 +72,3 @@ class TestInvalidateAll:
     def test_absent_line(self):
         present, dirty = make().invalidate_all(0x123)
         assert not present and not dirty
-
-
-class TestFillAndSpill:
-    def test_fill_l1_returns_victim(self):
-        core = make()
-        # L1D: 4 sets x 4 ways; five same-set lines force a victim.
-        victims = [core.fill_l1(line, False) for line in (0, 4, 8, 12, 16)]
-        assert victims[:4] == [None] * 4
-        assert victims[4] is not None
-        assert victims[4].line_addr == 0
-
-    def test_fill_does_not_touch_l2(self):
-        core = make()
-        core.fill_l1(0, False)
-        assert core.l2.occupancy() == 0
-
-    def test_spill_into_l2(self):
-        core = make()
-        displaced = core.spill_into_l2(EvictedLine(5, True))
-        assert displaced is None
-        assert core.l2.contains(5)
-        assert core.l2.is_dirty(5)
-
-    def test_spill_merges_dirty_into_resident_line(self):
-        core = make()
-        core.spill_into_l2(EvictedLine(5, False))
-        core.spill_into_l2(EvictedLine(5, True))
-        assert core.l2.is_dirty(5)
-        assert core.l2.occupancy() == 1
-
-    def test_spill_returns_displaced_l2_line(self):
-        core = make()
-        # L2: 4 sets x 8 ways; nine same-set spills displace one.
-        displaced = [
-            core.spill_into_l2(EvictedLine(line, False))
-            for line in range(0, 9 * 4, 4)
-        ]
-        assert displaced[-1] is not None
-        assert all(d is None for d in displaced[:-1])
