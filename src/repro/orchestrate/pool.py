@@ -32,12 +32,17 @@ EVENT_TIMEOUT = "timeout"
 PoolEvent = Tuple[str, str, Any]
 
 
-def _worker_main(conn, execute: Callable[[Any], Any]) -> None:
+def _worker_main(conn, execute: Callable[[Any], Any], parent_end) -> None:
     """Worker loop: receive ``(key, job)``, send ``(key, kind, payload)``.
 
     Module-level so it stays picklable under every multiprocessing
-    start method (fork, spawn, forkserver).
+    start method (fork, spawn, forkserver).  ``parent_end`` is the
+    pool's end of this worker's pipe, which a forked child inherits:
+    it is closed first, so that when the parent dies — even by SIGKILL
+    — ``recv`` sees EOF and the worker exits instead of lingering as
+    an orphan.
     """
+    parent_end.close()
     while True:
         try:
             item = conn.recv()
@@ -118,7 +123,9 @@ class WorkerPool:
         try:
             parent_conn, child_conn = self._ctx.Pipe()
             process = self._ctx.Process(
-                target=_worker_main, args=(child_conn, self._execute), daemon=True
+                target=_worker_main,
+                args=(child_conn, self._execute, parent_conn),
+                daemon=True,
             )
             process.start()
         except (OSError, ValueError) as exc:

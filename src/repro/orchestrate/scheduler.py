@@ -7,8 +7,10 @@ the remainder on a pluggable :class:`~repro.orchestrate.executor.
 Executor` backend — in-process (``serial``), a local process pool
 (``pool``, the default for ``jobs > 1``), or a shared-directory
 message bus with workers on any host (``bus``).  The scheduling loop
-is backend-neutral: dispatch while the backend has capacity, drain
-terminal events, retry failures with exponential backoff up to a
+is :class:`Dispatcher`, the only one in the repository: ``run`` steps
+it until one batch is decided, the service broker for the life of the
+service.  It dispatches while the backend has capacity, drains
+terminal events, and retries failures with exponential backoff up to a
 bounded number of attempts.  Jobs that keep failing are journalled to
 the :class:`~repro.orchestrate.manifest.SweepManifest` and reported in
 one :class:`~repro.errors.OrchestrationError` at the end (completed
@@ -26,9 +28,10 @@ distributed.
 from __future__ import annotations
 
 import time
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
-
 from collections import deque
+from contextlib import nullcontext
+from functools import partial
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..errors import ExecutorConfigError, OrchestrationError
 from ..perf.phase import (
@@ -55,6 +58,164 @@ log = get_logger("repro.orchestrate")
 #: killer, fork bombs elsewhere on the box) must not spin forever.
 MAX_RESPAWNS = 8
 
+#: ``on_dispatch`` verdict: what to submit, or None to drop the job.
+DispatchSpec = Optional[Tuple[Any, Optional[str], Optional[str]]]
+
+
+class Dispatcher:
+    """The scheduling loop, one :meth:`step` at a time.
+
+    The owner decides what outcomes mean, through callbacks run on the
+    stepping thread: ``on_dispatch(key, job)`` returns ``(payload,
+    trace_id, label)`` to submit, or None to drop a job cancelled while
+    queued; ``on_done``/``on_retry``/``on_fail(key, job, result or
+    error, attempts)`` classify each terminal event; ``on_requeue(key,
+    job)`` sees each job stranded on a backend that lost more than
+    :data:`MAX_RESPAWNS` workers, requeued without charging the attempt
+    once a :class:`SerialExecutor` has taken that backend's place.
+
+    :meth:`submit` is safe from any thread: it appends to a hand-off
+    deque that the stepping thread drains.  Everything else belongs to
+    the stepping thread.  Attempt counts and backoff windows ride on
+    the queued and running entries, so a decided key leaves nothing
+    behind in a dispatcher that lives as long as the service.
+    """
+
+    def __init__(
+        self,
+        executor: Optional[Executor],
+        execute: Callable[[Any], Any],
+        on_dispatch: Callable[[str, Any], DispatchSpec],
+        on_done: Callable[[str, Any, Any, int], None],
+        on_retry: Callable[[str, Any, str, int], None],
+        on_fail: Callable[[str, Any, str, int], None],
+        on_requeue: Optional[Callable[[str, Any], None]] = None,
+        retries: int = 2,
+        backoff: float = 0.25,
+        phase_timer=None,
+        sleep: Callable[[float], None] = time.sleep,
+    ) -> None:
+        self.executor = executor  # None until the owner installs one
+        self._execute = execute
+        self._on_dispatch = on_dispatch
+        self._on_done = on_done
+        self._on_retry = on_retry
+        self._on_fail = on_fail
+        self._on_requeue = on_requeue
+        self.retries = retries
+        self.backoff = backoff
+        self.phase_timer = phase_timer
+        self._sleep = sleep  # how a step with nothing running waits
+        self._handoff: deque = deque()  # (key, job) from any thread
+        #: (key, job, attempts so far, perf_counter backoff gate)
+        self._queue: deque = deque()
+        #: key -> (job, attempts so far) for jobs on the backend
+        self._running: Dict[str, Tuple[Any, int]] = {}
+
+    def submit(self, key: str, job: Any) -> None:
+        self._handoff.append((key, job))
+
+    @property
+    def has_submissions(self) -> bool:
+        """True while submissions wait for the next step to collect them."""
+        return bool(self._handoff)
+
+    @property
+    def pending(self) -> bool:
+        return bool(self._running or self._queue or self._handoff)
+
+    @property
+    def running(self) -> int:
+        return len(self._running)
+
+    def step(self, wait: float = 0.05) -> int:
+        """Dispatch, poll once, classify, dispatch again; return the
+        number of terminal events.  With nothing running, sleep until
+        the earliest backoff window opens (at most ``wait``) instead.
+        A ``BaseException`` escaping an inline backend (Ctrl-C killing
+        a serial sweep) propagates."""
+        self._dispatch()
+        if not self._running:
+            self._idle(wait)
+            return 0
+        executor = self.executor
+        timer = self.phase_timer
+        # An inline backend executes during poll, so its poll time *is*
+        # execute_job; blocking on remote workers is pool_wait — a
+        # saturated backend should show high pool_wait, not a slow
+        # scheduler.
+        phase = PHASE_EXECUTE_JOB if executor.inline else PHASE_POOL_WAIT
+        with nullcontext() if timer is None else timer.phase(phase):
+            events = executor.poll(wait)
+        for kind, key, payload in events:
+            job, attempts = self._running.pop(key)
+            attempts += 1
+            if kind == EVENT_OK:
+                self._on_done(key, job, payload, attempts)
+            elif attempts > self.retries:
+                self._on_fail(key, job, str(payload), attempts)
+            else:
+                ready_at = time.perf_counter() + self.backoff * 2 ** (attempts - 1)
+                self._queue.append((key, job, attempts, ready_at))
+                self._on_retry(key, job, str(payload), attempts)
+        if executor.respawns > MAX_RESPAWNS:
+            self._degrade(executor)
+        # Dispatch again before returning: a caller that idles while
+        # nothing runs would otherwise leave the job queued behind a
+        # just-finished one waiting out that idle time.
+        self._dispatch()
+        return len(events)
+
+    def _dispatch(self) -> None:
+        queue = self._queue
+        while self._handoff:
+            key, job = self._handoff.popleft()
+            queue.append((key, job, 0, 0.0))
+        executor = self.executor
+        now = time.perf_counter()
+        for _ in range(len(queue)):
+            if not executor.has_idle:
+                break
+            entry = queue.popleft()
+            key, job, attempts, ready_at = entry
+            if ready_at > now:
+                queue.append(entry)
+                continue
+            spec = self._on_dispatch(key, job)
+            if spec is None:
+                continue
+            payload, trace_id, label = spec
+            executor.submit(key, payload, trace_id=trace_id, label=label)
+            self._running[key] = (job, attempts)
+
+    def _idle(self, wait: float) -> None:
+        now = time.perf_counter()
+        wake = min((entry[3] for entry in self._queue), default=now + wait)
+        delay = min(wake - now, wait)
+        if delay > 0:
+            self._sleep(delay)
+
+    def _degrade(self, executor: Executor) -> None:
+        """Swap a backend that keeps losing workers for serial
+        execution.  The old backend is never polled again, so its
+        stranded jobs must be requeued or they would never be decided;
+        they keep their attempt counts (the backend failed, not the
+        jobs)."""
+        log.warning(
+            "executor_degraded",
+            requested=executor.name,
+            actual="serial",
+            respawns=executor.respawns,
+            requeued=len(self._running),
+        )
+        executor.close()
+        self.executor = SerialExecutor(self._execute)
+        stranded, self._running = self._running, {}
+        for key, (job, attempts) in stranded.items():
+            self._queue.append((key, job, attempts, 0.0))
+            if self._on_requeue is not None:
+                self._on_requeue(key, job)
+
 
 class Orchestrator:
     """Parallel, fault-tolerant executor for a batch of jobs."""
@@ -73,7 +234,6 @@ class Orchestrator:
         context=None,
         telemetry=None,
         phase_timer=None,
-        on_job_done: Optional[Callable[[str, str, Any, int], None]] = None,
         executor=None,
         bus_dir: Optional[str] = None,
         bus_spawn: Optional[int] = None,
@@ -112,25 +272,19 @@ class Orchestrator:
         #: sweep's wall time to orchestrate_overhead / execute_job /
         #: pool_wait; None keeps scheduling loops hook-free.
         self.phase_timer = phase_timer
-        #: broker hook: called as ``(key, status, payload, attempts)``
-        #: after every terminal job outcome — the RunSummary for
-        #: ``"done"``, the error string for ``"failed"`` — so a service
-        #: layer can stream per-job digests without wrapping ``run``.
-        self.on_job_done = on_job_done
         #: key -> request trace id (repro.obs).  Callers that mint a
-        #: trace per request (the service broker, RunTelemetry-backed
-        #: sweeps) register ids here so retry/failure diagnostics and
-        #: manifest journal lines carry the join key; empty means
-        #: untraced and costs nothing.
+        #: trace per request (RunTelemetry-backed sweeps) register ids
+        #: here so retry/failure diagnostics and manifest journal lines
+        #: carry the join key; empty means untraced and costs nothing.
         self.trace_ids: Dict[str, str] = {}
         #: key -> final error message of permanently failed jobs (last run).
         self.failures: Dict[str, str] = {}
         #: key -> reason of jobs cancelled while still queued (last run).
         self.cancelled: Dict[str, str] = {}
         #: keys whose *queued* execution should be skipped.  A plain set
-        #: mutated only via :meth:`cancel`; membership tests happen in
-        #: the scheduling loops, so a cancel from another thread takes
-        #: effect at the next dispatch decision (in-flight jobs finish).
+        #: mutated only via :meth:`cancel`; membership tests happen at
+        #: dispatch, so a cancel from another thread takes effect at the
+        #: next dispatch decision (in-flight jobs finish).
         self._cancel_requested: set = set()
         #: jobs actually executed (not served from cache) in the last
         #: run — the counter service/e2e tests assert dedup against.
@@ -190,45 +344,7 @@ class Orchestrator:
             self.reporter.start(total=self._total, cached=self._completed)
         try:
             if pending:
-                try:
-                    executor = self._make_executor()
-                except ExecutorConfigError:
-                    # A misconfigured backend (unknown kind, bus with
-                    # no directory) must fail loudly — degrading would
-                    # run a sweep the user believes is distributed
-                    # single-threaded, with no sign anything is off.
-                    raise
-                except OrchestrationError as exc:
-                    # The *environment* could not build the backend
-                    # (no subprocesses on this box, unreachable bus);
-                    # degrade to serial — slower, never wrong — and
-                    # say so prominently.
-                    log.warning(
-                        "executor_degraded",
-                        requested=self._requested_backend(),
-                        actual="serial",
-                        error=str(exc),
-                    )
-                    executor = SerialExecutor(self.execute)
-                if isinstance(executor, SerialExecutor):
-                    self._run_loop(pending, results, executor)
-                else:
-                    try:
-                        self._run_loop(pending, results, executor)
-                    except OrchestrationError:
-                        # The backend kept losing workers mid-sweep;
-                        # degrade to a serial pass over whatever is
-                        # still undecided.
-                        remaining = [
-                            (key, job)
-                            for key, job in pending
-                            if key not in results
-                            and key not in self.failures
-                            and key not in self.cancelled
-                        ]
-                        self._run_loop(
-                            remaining, results, SerialExecutor(self.execute)
-                        )
+                self._run_loop(pending, results)
         finally:
             if self.reporter is not None:
                 self.reporter.finish()
@@ -255,9 +371,10 @@ class Orchestrator:
         """
         self._cancel_requested.update(keys)
 
-    def _cancel_if_requested(self, key: str, job: Any) -> bool:
+    def _on_dispatch(self, key: str, job: Any) -> DispatchSpec:
         if key not in self._cancel_requested:
-            return False
+            self._started.setdefault(key, self._now())
+            return job, self._trace_id(key), self._label(job)
         self.cancelled[key] = "cancelled while queued"
         trace_id = self._trace_id(key)
         log.info(
@@ -271,10 +388,8 @@ class Orchestrator:
                 category=self._category(job),
                 trace_id=trace_id,
             )
-        if self.on_job_done is not None:
-            self.on_job_done(key, STATUS_CANCELLED, "cancelled while queued", 0)
         self._report()
-        return True
+        return None
 
     # -- execution -------------------------------------------------------------
     def _requested_backend(self) -> str:
@@ -306,102 +421,63 @@ class Orchestrator:
         )
 
     def _run_loop(
-        self,
-        pending: Sequence[Tuple[str, Any]],
-        results: Dict[str, Any],
-        executor: Executor,
+        self, pending: Sequence[Tuple[str, Any]], results: Dict[str, Any]
     ) -> None:
-        """The backend-neutral scheduling loop.
-
-        Dispatch from the queue while the backend has capacity
-        (honouring per-job backoff windows), drain terminal events,
-        and classify each: success completes, failure retries until
-        the attempt budget is spent.  Per-job timeouts are the
-        backend's job (in-process serial execution, documented, cannot
-        enforce them).  A ``BaseException`` escaping an inline backend
-        — ``KeyboardInterrupt`` killing a serial sweep — propagates:
-        the manifest already holds every completed job, so the re-run
-        resumes instead of re-executing.
-        """
-        queue = deque(pending)
-        jobs_by_key = dict(pending)
-        attempts: Dict[str, int] = {key: 0 for key, _ in pending}
-        ready_at: Dict[str, float] = {}
-        self._workers = executor.size
-        self._backend = executor.name
-        inflight: set = set()
+        """Step a :class:`Dispatcher` over ``pending`` until every job
+        is decided.  Per-job timeouts are the backend's job (in-process
+        serial execution, documented, cannot enforce them).  Ctrl-C in a
+        serial sweep propagates: the manifest already holds every
+        completed job, so the re-run resumes instead of re-executing."""
         try:
-            while queue or inflight:
-                now = time.perf_counter()
-                for _ in range(len(queue)):
-                    if not executor.has_idle:
-                        break
-                    key, job = queue.popleft()
-                    if self._cancel_if_requested(key, job):
-                        continue
-                    if ready_at.get(key, 0.0) <= now:
-                        self._started.setdefault(key, self._now())
-                        executor.submit(
-                            key,
-                            job,
-                            trace_id=self._trace_id(key),
-                            label=self._label(job),
-                        )
-                        inflight.add(key)
-                    else:
-                        queue.append((key, job))
-                if not inflight and queue:
-                    # everything is waiting out its backoff window
-                    wake = min(ready_at.get(key, 0.0) for key, _ in queue)
-                    time.sleep(max(0.0, min(wake - now, self.backoff or 0.05)))
-                    continue
-                timer = self.phase_timer
-                if timer is not None:
-                    # An inline backend executes during poll, so its
-                    # poll time *is* execute_job; blocking on remote
-                    # workers is pool_wait — a saturated backend should
-                    # show high pool_wait, not a slow scheduler.
-                    phase = (
-                        PHASE_EXECUTE_JOB if executor.inline else PHASE_POOL_WAIT
-                    )
-                    timer.enter(phase)
-                    try:
-                        events = executor.poll(0.05)
-                    finally:
-                        timer.exit()
-                else:
-                    events = executor.poll(0.05)
-                for kind, key, payload in events:
-                    job = jobs_by_key[key]
-                    inflight.discard(key)
-                    attempts[key] += 1
-                    if kind == EVENT_OK:
-                        self._complete(key, job, payload, attempts[key], results)
-                    elif attempts[key] > self.retries:
-                        self._fail(key, job, str(payload), attempts[key])
-                    else:
-                        log.warning(
-                            "job_retry",
-                            key=key,
-                            label=self._label(job),
-                            attempt=attempts[key],
-                            error=str(payload),
-                            trace_id=self._trace_id(key),
-                        )
-                        ready_at[key] = time.perf_counter() + self.backoff * (
-                            2 ** (attempts[key] - 1)
-                        )
-                        queue.append((key, job))
-                if executor.respawns > MAX_RESPAWNS:
-                    raise OrchestrationError(
-                        f"{executor.name} backend lost workers "
-                        f"{executor.respawns} times; degrading to serial "
-                        "execution"
-                    )
-                self._workers = executor.size
-                self._report(running=len(inflight))
+            executor = self._make_executor()
+        except ExecutorConfigError:
+            # A misconfigured backend (unknown kind, bus with no
+            # directory) must fail loudly — degrading would run a sweep
+            # the user believes is distributed single-threaded, with no
+            # sign anything is off.
+            raise
+        except OrchestrationError as exc:
+            # The *environment* could not build the backend (no
+            # subprocesses on this box, unreachable bus); degrade to
+            # serial — slower, never wrong — and say so prominently.
+            log.warning(
+                "executor_degraded",
+                requested=self._requested_backend(),
+                actual="serial",
+                error=str(exc),
+            )
+            executor = SerialExecutor(self.execute)
+        dispatcher = Dispatcher(
+            executor,
+            self.execute,
+            on_dispatch=self._on_dispatch,
+            on_done=partial(self._complete, results=results),
+            on_retry=self._on_retry,
+            on_fail=self._fail,
+            retries=self.retries,
+            backoff=self.backoff,
+            phase_timer=self.phase_timer,
+        )
+        for key, job in pending:
+            dispatcher.submit(key, job)
+        try:
+            while dispatcher.pending:
+                self._workers = dispatcher.executor.size
+                self._backend = dispatcher.executor.name
+                dispatcher.step()
+                self._report(running=dispatcher.running)
         finally:
-            executor.close()
+            dispatcher.executor.close()
+
+    def _on_retry(self, key: str, job: Any, error: str, attempts: int) -> None:
+        log.warning(
+            "job_retry",
+            key=key,
+            label=self._label(job),
+            attempt=attempts,
+            error=error,
+            trace_id=self._trace_id(key),
+        )
 
     # -- bookkeeping -----------------------------------------------------------
     @staticmethod
@@ -474,8 +550,6 @@ class Orchestrator:
             note = getattr(self.reporter, "note_result", None)
             if note is not None:
                 note(result)
-        if self.on_job_done is not None:
-            self.on_job_done(key, STATUS_DONE, result, attempts)
         self._report()
 
     def _fail(self, key: str, job: Any, error: str, attempts: int) -> None:
@@ -510,8 +584,6 @@ class Orchestrator:
                 end=end,
                 error=error,
             )
-        if self.on_job_done is not None:
-            self.on_job_done(key, STATUS_FAILED, error, attempts)
         self._report()
 
     def _report(self, running: int = 0) -> None:

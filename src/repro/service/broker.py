@@ -24,10 +24,18 @@ Admission control is all-or-nothing per sweep: a bounded global queue
 simulated instructions.  Coalesced and cached jobs are free — they
 occupy no queue slot and charge no quota.
 
+The broker does not schedule: its thread steps the orchestrator's
+:class:`~repro.orchestrate.scheduler.Dispatcher` (dispatch, poll,
+retry with backoff, degrade to serial), the loop ``Orchestrator.run``
+steps for a CLI batch, for the life of the service.  The broker keeps
+only its own concerns, as the dispatcher's callbacks: admission,
+quotas, coalescing, cancellation, sweep events, spans and metrics.
+
 Threading model: HTTP handler threads only touch broker state under
-``self._lock`` (submit / snapshot / cancel / event waits); the broker
-thread alone owns the executor, so worker pipes and bus spools never
-see concurrent access from this process.
+``self._lock`` (submit / snapshot / cancel / event waits); new entries
+reach the dispatcher through its any-thread ``submit``.  The broker
+thread alone steps the dispatcher and so owns the executor: worker
+pipes and bus spools never see concurrent access from this process.
 """
 
 from __future__ import annotations
@@ -35,7 +43,6 @@ from __future__ import annotations
 import hashlib
 import threading
 import time
-from collections import deque
 from dataclasses import replace
 from typing import Any, Callable, Dict, List, Optional
 
@@ -58,17 +65,11 @@ from ..orchestrate import (
 )
 from ..orchestrate.executor import (
     Executor,
-    LocalPoolExecutor,
     SerialExecutor,
+    resolve_executor,
 )
-from ..orchestrate.pool import EVENT_OK
-from ..orchestrate.scheduler import MAX_RESPAWNS
-from ..perf import (
-    PHASE_EXECUTE_JOB,
-    PHASE_ORCHESTRATE,
-    PHASE_POOL_WAIT,
-    PhaseTimer,
-)
+from ..orchestrate.scheduler import Dispatcher, DispatchSpec
+from ..perf import PHASE_ORCHESTRATE, PhaseTimer
 from ..telemetry import get_logger
 from .config import ServiceConfig
 
@@ -103,16 +104,15 @@ class _Entry:
     """One unique admitted job plus everyone waiting on it."""
 
     __slots__ = (
-        "key", "job", "tenant", "attempts", "ready_at", "state", "sweeps",
-        "trace_id", "parent_span", "enqueued", "dispatched", "exec_span",
+        "key", "job", "tenant", "attempts", "state", "sweeps", "trace_id",
+        "parent_span", "enqueued", "dispatched", "exec_span",
     )
 
     def __init__(self, key: str, job: SimJob, tenant: str) -> None:
         self.key = key
         self.job = job
         self.tenant = tenant  # the tenant whose quota holds the slot
-        self.attempts = 0
-        self.ready_at = 0.0  # perf_counter gate for retry backoff
+        self.attempts = 0  # mirrors the dispatcher's count
         self.state = JOB_QUEUED
         self.sweeps: List["Sweep"] = []
         #: trace context (repro.obs): the submitting sweep's trace —
@@ -217,7 +217,6 @@ class JobBroker:
             )
         self._lock = threading.Lock()
         self._cond = threading.Condition(self._lock)
-        self._queue: "deque[_Entry]" = deque()
         self._inflight: Dict[str, _Entry] = {}  # queued + running
         self._sweeps: Dict[str, Sweep] = {}
         self._tenant_jobs: Dict[str, int] = {}
@@ -257,11 +256,23 @@ class JobBroker:
             if self.cache.directory is not None
             else None
         )
-        #: the execution backend; built in :meth:`start` from
-        #: ``config.executor`` (serial / pool / bus), degraded to
-        #: :class:`SerialExecutor` when a backend cannot be built or
-        #: loses too many workers.
-        self._executor: Optional[Executor] = None
+        #: the scheduling loop, stepped by the broker thread.  Its
+        #: backend is built in :meth:`start` from ``config.executor``
+        #: (serial / pool / bus), degraded to :class:`SerialExecutor`
+        #: when it cannot be built or loses too many workers.
+        self._dispatcher = Dispatcher(
+            None,
+            execute,
+            on_dispatch=self._on_dispatch,
+            on_done=self._complete,
+            on_retry=self._on_retry,
+            on_fail=self._fail,
+            on_requeue=self._on_requeue,
+            retries=self.config.retries,
+            backoff=self.config.backoff,
+            phase_timer=self.phase_timer,
+            sleep=self._idle,
+        )
         #: last-synced cumulative health counters per backend, so the
         #: registry's monotonic counters only receive deltas.
         self._executor_seen: Dict[Any, int] = {}
@@ -366,34 +377,24 @@ class JobBroker:
         kind = cfg.executor
         if kind == "auto":
             kind = "serial" if cfg.workers == 0 else "pool"
-        if kind == "pool":
-            try:
-                return LocalPoolExecutor(
-                    max(1, cfg.workers),
-                    self.execute,
-                    timeout=cfg.job_timeout,
-                )
-            except Exception as exc:  # noqa: BLE001 — degrade, don't die
-                log.warning("pool_unavailable", error=str(exc))
-        elif kind == "bus":
-            try:
-                from ..orchestrate.bus import BusExecutor
-
-                return BusExecutor(
-                    cfg.bus_dir,
-                    execute=self.execute,
-                    spawn_workers=cfg.workers,
-                    timeout=cfg.job_timeout,
-                    cache_dir=self.cache.directory,
-                )
-            except Exception as exc:  # noqa: BLE001 — degrade, don't die
-                log.warning("bus_unavailable", error=str(exc))
-        return SerialExecutor(self.execute)
+        try:
+            return resolve_executor(
+                kind,
+                max(1, cfg.workers),
+                self.execute,
+                timeout=cfg.job_timeout,
+                bus_dir=cfg.bus_dir,
+                bus_spawn=cfg.workers,
+                cache_dir=self.cache.directory,
+            )
+        except Exception as exc:  # noqa: BLE001 — degrade, don't die
+            log.warning("executor_unavailable", backend=kind, error=str(exc))
+            return SerialExecutor(self.execute)
 
     def start(self) -> "JobBroker":
         """Build the executor (best effort) and spawn the broker thread."""
         self._started_at = time.perf_counter()
-        self._executor = self._make_executor()
+        executor = self._dispatcher.executor = self._make_executor()
         self.phase_timer.enter(PHASE_ORCHESTRATE)
         self._thread = threading.Thread(
             target=self._loop, name="repro-service-broker", daemon=True
@@ -401,8 +402,8 @@ class JobBroker:
         self._thread.start()
         log.info(
             "broker_started",
-            backend=self._executor.name,
-            workers=self._executor.size,
+            backend=executor.name,
+            workers=executor.size,
             cache_dir=str(self.cache.directory),
         )
         return self
@@ -414,9 +415,9 @@ class JobBroker:
         if self._thread is not None:
             self._thread.join(timeout)
             self._thread = None
-        if self._executor is not None:
-            self._executor.close()
-            self._executor = None
+        if self._dispatcher.executor is not None:
+            self._dispatcher.executor.close()
+            self._dispatcher.executor = None
 
     # -- client-facing API (handler threads) -----------------------------------
     def submit(
@@ -494,7 +495,7 @@ class JobBroker:
                     )
                     entry.enqueued = enqueued_at
                     self._inflight[key] = entry
-                    self._queue.append(entry)
+                    self._dispatcher.submit(key, entry)
                     self._queued_count += 1
                     sweep.statuses[key] = JOB_QUEUED
                 counters = self.counters
@@ -716,7 +717,7 @@ class JobBroker:
             }
             digests = list(self.host_digests)
         uptime = time.perf_counter() - self._started_at
-        executor = self._executor
+        executor = self._dispatcher.executor
         if executor is not None:
             liveness = executor.liveness()
             self._sync_executor_metrics(executor)
@@ -762,101 +763,22 @@ class JobBroker:
 
     # -- the broker thread -----------------------------------------------------
     def _loop(self) -> None:
-        """One loop for every backend: dispatch while idle capacity
-        exists, poll for terminal events, classify them.  Inline
-        backends execute inside ``poll`` on this thread, so their poll
-        time is charged to ``execute_job`` rather than ``pool_wait``.
-        """
-        timer = self.phase_timer
+        """Step the dispatcher until :meth:`stop`."""
+        dispatcher = self._dispatcher
         while not self._stop.is_set():
-            executor = self._executor
-            self._dispatch(executor)
-            if executor.busy_count == 0:
-                # Nothing running and nothing dispatchable (empty
-                # queue or all entries in retry backoff): sleep on
-                # the condition instead of spinning on poll();
-                # submit() notifies, so new work wakes us early.
-                with self._cond:
-                    if not self._stop.is_set():
-                        self._cond.wait(0.05)
-                continue
-            timer.enter(
-                PHASE_EXECUTE_JOB if executor.inline else PHASE_POOL_WAIT
-            )
-            try:
-                events = executor.poll(0.05)
-            finally:
-                timer.exit()
-            for kind, key, payload in events:
-                self._finish_job(kind, key, payload)
-            if events:
-                self._sync_executor_metrics(executor)
-            if not executor.inline and executor.respawns > MAX_RESPAWNS:
-                log.error(
-                    "executor_degraded",
-                    backend=executor.name,
-                    respawns=executor.respawns,
-                )
-                executor.close()
-                self._executor = SerialExecutor(self.execute)
-                self._requeue_undecided()
+            if dispatcher.step():
+                self._sync_executor_metrics(dispatcher.executor)
         # exit() pairs the enter(PHASE_ORCHESTRATE) from start(), so the
         # phase report stays internally consistent after a stop().
-        if timer.depth:
-            timer.exit()
+        if self.phase_timer.depth:
+            self.phase_timer.exit()
 
-    def _requeue_undecided(self) -> None:
-        """Push every entry dispatched to a torn-down backend back onto
-        the queue (broker thread, after a degrade swap).
-
-        The old backend's terminal events will never be polled again,
-        so without this its ``JOB_RUNNING`` entries would sit in
-        ``_inflight`` forever — their sweeps reporting ``running``
-        indefinitely, ``_running_count`` leaking, and later
-        submissions of the same key coalescing onto a dead entry.
-        Mirrors the CLI orchestrator's serial pass over the undecided
-        remainder: attempts are not charged (the backend failed, not
-        the job) and quota is re-charged exactly as the retry path
-        does.
-        """
+    def _idle(self, seconds: float) -> None:
+        """The dispatcher's idle wait: sleep on the condition, so a
+        submit or :meth:`stop` wakes the broker thread early."""
         with self._cond:
-            stranded = [
-                entry
-                for entry in self._inflight.values()
-                if entry.state == JOB_RUNNING
-            ]
-        # Only the broker thread moves entries out of JOB_RUNNING, so
-        # the list stays accurate between these two critical sections;
-        # spans are closed outside the lock like the retry path does.
-        for entry in stranded:
-            self._end_exec_span(entry, "requeued", None)
-        if not stranded:
-            return
-        with self._cond:
-            for entry in stranded:
-                entry.state = JOB_QUEUED
-                entry.enqueued = self.spans.now()
-                entry.ready_at = 0.0
-                self._running_count -= 1
-                self._queued_count += 1
-                self._tenant_jobs[entry.tenant] = (
-                    self._tenant_jobs.get(entry.tenant, 0) + 1
-                )
-                self._tenant_instr[entry.tenant] = (
-                    self._tenant_instr.get(entry.tenant, 0)
-                    + entry.instructions
-                )
-                self._queue.append(entry)
-                for sweep in entry.sweeps:
-                    sweep.statuses[entry.key] = JOB_QUEUED
-                    self._event(
-                        sweep,
-                        "job_requeued",
-                        key=entry.key,
-                        reason="executor degraded to serial",
-                    )
-            self._cond.notify_all()
-        log.warning("jobs_requeued_after_degrade", count=len(stranded))
+            if not self._stop.is_set() and not self._dispatcher.has_submissions:
+                self._cond.wait(seconds)
 
     def _sync_executor_metrics(self, executor: Executor) -> None:
         """Mirror the backend's cumulative health counters into the
@@ -990,95 +912,70 @@ class JobBroker:
         self.m_http.inc(route=route, status=status, tenant=tenant)
         self.m_http_latency.observe(seconds, route=route)
 
-    def _pop_ready(self) -> Optional[_Entry]:
-        """Next runnable queued entry, honouring retry backoff (lock held)."""
-        now = time.perf_counter()
-        for _ in range(len(self._queue)):
-            entry = self._queue.popleft()
-            if entry.state != JOB_QUEUED:
-                continue  # cancelled while queued
-            if entry.ready_at > now:
-                self._queue.append(entry)
-                continue
-            return entry
-        return None
-
-    def _dispatch(self, executor: Executor) -> None:
-        while executor.has_idle:
-            with self._cond:
-                entry = self._pop_ready()
-                if entry is None:
-                    return
-                entry.state = JOB_RUNNING
-                self._queued_count -= 1
-                self._running_count += 1
-                self._release_quota(entry)
-                self._begin_execution(entry)
-                for sweep in entry.sweeps:
-                    sweep.statuses[entry.key] = JOB_RUNNING
-                    self._event(
-                        sweep,
-                        "job_started",
-                        key=entry.key,
-                        attempt=entry.attempts + 1,
-                    )
-                self._cond.notify_all()
-            executor.submit(
-                entry.key,
-                entry.job,
-                trace_id=entry.trace_id,
-                label=entry.job.label(),
-            )
-
-    def _finish_job(self, kind: str, key: str, payload: Any) -> None:
+    # -- dispatcher callbacks (broker thread) ----------------------------------
+    def _on_dispatch(self, key: str, entry: _Entry) -> DispatchSpec:
         with self._cond:
-            entry = self._inflight.get(key)
-        if entry is None:  # cancelled racing a crash event; nothing to do
-            return
-        entry.attempts += 1
-        if kind == EVENT_OK:
-            self._complete(entry, payload)
-        elif entry.attempts > self.config.retries:
-            self._fail(entry, str(payload))
-        else:
-            self._end_exec_span(entry, "retry", None)
-            self.m_retries.inc(tenant=entry.tenant)
-            with self._cond:
-                self.counters["jobs_retried"] += 1
-                entry.state = JOB_QUEUED
-                entry.enqueued = self.spans.now()
-                entry.ready_at = time.perf_counter() + self.config.backoff * (
-                    2 ** (entry.attempts - 1)
+            if entry.state != JOB_QUEUED:
+                return None  # cancelled while queued
+            entry.state = JOB_RUNNING
+            self._queued_count -= 1
+            self._running_count += 1
+            self._release_quota(entry)
+            self._begin_execution(entry)
+            for sweep in entry.sweeps:
+                sweep.statuses[key] = JOB_RUNNING
+                self._event(
+                    sweep, "job_started", key=key, attempt=entry.attempts + 1
                 )
-                self._running_count -= 1
-                self._queued_count += 1
-                # Re-admitting a retry never fails: its quota slot is
-                # simply re-charged (may briefly overshoot the budget,
-                # which beats dropping work the tenant already queued).
-                self._tenant_jobs[entry.tenant] = (
-                    self._tenant_jobs.get(entry.tenant, 0) + 1
-                )
-                self._tenant_instr[entry.tenant] = (
-                    self._tenant_instr.get(entry.tenant, 0)
-                    + entry.instructions
-                )
-                self._queue.append(entry)
-                for sweep in entry.sweeps:
-                    sweep.statuses[key] = JOB_QUEUED
-                    self._event(
-                        sweep,
-                        "job_retry",
-                        key=key,
-                        attempt=entry.attempts,
-                        error=str(payload),
-                    )
-                self._cond.notify_all()
-            log.warning(
-                "job_retry", key=key, attempt=entry.attempts,
-                error=str(payload), trace_id=entry.trace_id,
+            self._cond.notify_all()
+        return entry.job, entry.trace_id, entry.job.label()
+
+    def _on_retry(
+        self, key: str, entry: _Entry, error: str, attempts: int
+    ) -> None:
+        entry.attempts = attempts
+        self._end_exec_span(entry, "retry", None)
+        self.m_retries.inc(tenant=entry.tenant)
+        with self._cond:
+            self.counters["jobs_retried"] += 1
+            self._requeue(entry, "job_retry", attempt=attempts, error=error)
+        log.warning(
+            "job_retry", key=key, attempt=attempts, error=error,
+            trace_id=entry.trace_id,
+        )
+
+    def _on_requeue(self, key: str, entry: _Entry) -> None:
+        self._end_exec_span(entry, "requeued", None)
+        with self._cond:
+            self._requeue(
+                entry, "job_requeued", reason="executor degraded to serial"
             )
 
-    def _complete(self, entry: _Entry, summary: RunSummary) -> None:
+    def _requeue(self, entry: _Entry, event: str, **fields: Any) -> None:
+        """Move a dispatched entry back to queued (lock held).
+
+        Re-admitting never fails: the quota slot released at dispatch
+        is simply re-charged (it may briefly overshoot the budget,
+        which beats dropping work the tenant already queued).
+        """
+        entry.state = JOB_QUEUED
+        entry.enqueued = self.spans.now()
+        self._running_count -= 1
+        self._queued_count += 1
+        tenant = entry.tenant
+        self._tenant_jobs[tenant] = self._tenant_jobs.get(tenant, 0) + 1
+        self._tenant_instr[tenant] = (
+            self._tenant_instr.get(tenant, 0) + entry.instructions
+        )
+        for sweep in entry.sweeps:
+            sweep.statuses[entry.key] = JOB_QUEUED
+            self._event(sweep, event, key=entry.key, **fields)
+        self._cond.notify_all()
+
+    def _complete(
+        self, key: str, entry: _Entry, summary: RunSummary, attempts: int
+    ) -> None:
+        entry.attempts = attempts
         # Single-writer discipline as in the CLI orchestrator: only
         # the broker thread stores, so entries are byte-identical to
         # serial/CLI ones (and writes are atomic).  Bus workers may
@@ -1122,7 +1019,8 @@ class JobBroker:
         for sweep in subscribers:
             self._export_spans_if_done(sweep)
 
-    def _fail(self, entry: _Entry, error: str) -> None:
+    def _fail(self, key: str, entry: _Entry, error: str, attempts: int) -> None:
+        entry.attempts = attempts
         self._end_exec_span(entry, "failed", None)
         self.m_exec.observe(
             max(0.0, time.perf_counter() - entry.dispatched),

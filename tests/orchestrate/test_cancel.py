@@ -47,20 +47,6 @@ class TestCancel:
         assert statuses["x"] == STATUS_CANCELLED
         assert statuses["y"] == "done"
 
-    def test_cancel_notifies_on_job_done_hook(self):
-        seen = []
-
-        def hook(key, status, payload, attempts):
-            seen.append((key, status))
-
-        orchestrator = Orchestrator(
-            jobs=1, execute=echo_execute, key_fn=str, on_job_done=hook
-        )
-        orchestrator.cancel(["b"])
-        orchestrator.run(["a", "b"], raise_on_failure=False)
-        assert ("b", STATUS_CANCELLED) in seen
-        assert ("a", "done") in seen
-
     def test_cancel_resets_between_runs(self):
         orchestrator = Orchestrator(jobs=1, execute=echo_execute, key_fn=str)
         orchestrator.cancel(["a"])

@@ -153,6 +153,85 @@ class TestSerialFallback:
         assert set(results) == {"a", "b", "c"}
         assert not orchestrator.failures
 
+    def test_backend_losing_workers_degrades_mid_sweep(self, tmp_path, capsys):
+        """A backend past MAX_RESPAWNS is swapped for serial execution
+        mid-sweep; the jobs stranded on it are requeued without
+        charging the attempt, and the cache matches a serial run."""
+        import json
+        import threading
+
+        from repro.orchestrate import SweepManifest
+        from repro.orchestrate.executor import Executor
+        from repro.orchestrate.scheduler import MAX_RESPAWNS
+
+        class DyingExecutor(Executor):
+            """Accepts jobs, never reports them, always looks doomed."""
+
+            name = "dying"
+
+            def __init__(self):
+                self.submitted = []
+
+            def submit(self, key, job, trace_id=None, label=None):
+                self.submitted.append(key)
+
+            def poll(self, wait=0.05):
+                return []
+
+            @property
+            def size(self):
+                return 2
+
+            @property
+            def busy_count(self):
+                return len(self.submitted)
+
+            @property
+            def respawns(self):
+                return MAX_RESPAWNS + 1
+
+        executed = []
+
+        def inline(job):  # records that the job ran on this thread
+            executed.append((job, threading.get_ident()))
+            return echo_execute(job)
+
+        jobs = ["a", "b", "c", "d"]
+        dying = DyingExecutor()
+        manifest = SweepManifest(tmp_path / "degraded" / "manifest.jsonl")
+        degraded = Orchestrator(
+            execute=inline,
+            key_fn=str,
+            executor=dying,
+            cache=ResultCache(str(tmp_path / "degraded")),
+            manifest=manifest,
+        )
+        results = degraded.run(jobs)
+        assert dying.submitted == ["a", "b"]  # stranded on the dead backend
+        assert set(results) == set(jobs)
+        assert not degraded.failures
+        assert sorted(executed) == [(job, threading.get_ident()) for job in jobs]
+        serial = Orchestrator(
+            execute=echo_execute,
+            key_fn=str,
+            cache=ResultCache(str(tmp_path / "serial")),
+        )
+        serial.run(jobs)
+        for key in jobs:
+            name = f"{key}.json"
+            assert (tmp_path / "degraded" / name).read_bytes() == (
+                tmp_path / "serial" / name
+            ).read_bytes()
+        assert {
+            key: record.attempts for key, record in manifest.statuses().items()
+        } == {key: 1 for key in jobs}
+        events = [
+            json.loads(line)
+            for line in capsys.readouterr().err.splitlines()
+            if '"executor_degraded"' in line
+        ]
+        assert [event["requeued"] for event in events] == [2]
+
     def test_jobs_one_never_spawns(self, monkeypatch):
         import repro.orchestrate.scheduler as scheduler_module
 
