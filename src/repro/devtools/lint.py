@@ -20,7 +20,8 @@ that defines them.  This module walks the AST of every file under
     No module-level ``random.<fn>()`` calls, no ``from random
     import`` of anything but ``Random``, and no
     ``<module>.random.<fn>()`` numpy calls except seeded
-    ``RandomState(seed)`` / ``default_rng(seed)`` constructions.
+    ``RandomState(seed)`` / ``default_rng(seed)`` / ``Generator(...)``
+    constructions.
     Seeded generator objects (``rng = random.Random(seed)``) are the
     sanctioned idiom.
 
@@ -29,7 +30,9 @@ that defines them.  This module walks the AST of every file under
     ``datetime.today`` / ``datetime.utcnow`` / ``date.today``.
     Simulated time is cycle counts; host-time reads make runs
     irreproducible.  ``time.perf_counter`` (pure elapsed-time
-    measurement for progress reporting) is allowed.
+    measurement for progress reporting) is allowed.  CS2 and CS3 read
+    the determinism analyzer's source tables
+    (:mod:`repro.devtools.passes.dx`), so lint and DX1/DX2 agree.
 
 ``CS4`` *stats-counter mutation*
     Assignments to ``<obj>.stats.<counter>`` (or a local ``stats``
@@ -56,6 +59,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import List, Optional, Sequence
 
+from .passes.dx import SEEDED_NUMPY, WALL_CLOCK_SOURCES
 from .project import dotted_parts as _dotted_parts
 from .project import iter_python_files, parse_module
 
@@ -67,19 +71,6 @@ STAGED_ZONES = frozenset({"cache", "hierarchy", "core"})
 
 #: layers that own stats counters (CS4).
 STATS_ZONES = frozenset({"cache", "hierarchy", "cpu", "metrics"})
-
-#: dotted-suffix blocklist for wall-clock reads (CS3).
-WALL_CLOCK = (
-    ("time", "time"),
-    ("time", "time_ns"),
-    ("datetime", "now"),
-    ("datetime", "today"),
-    ("datetime", "utcnow"),
-    ("date", "today"),
-)
-
-#: numpy random constructors that are fine when given a seed (CS2).
-SEEDED_NUMPY = frozenset({"RandomState", "default_rng"})
 
 
 @dataclass(frozen=True)
@@ -172,7 +163,7 @@ class _Visitor(ast.NodeVisitor):
         if len(parts) < 2:
             return
         suffix = (parts[-2], parts[-1])
-        if suffix in WALL_CLOCK:
+        if suffix in WALL_CLOCK_SOURCES:
             self._report(
                 node,
                 "CS3",

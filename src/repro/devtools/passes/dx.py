@@ -52,7 +52,8 @@ WALL_CLOCK_SOURCES = (
     ("date", "today"),
 )
 
-#: seeded numpy constructors that are not RNG sources when given a seed.
+#: seeded numpy constructors that are not RNG sources when given a seed
+#: (shared with lint CS2).
 SEEDED_NUMPY = frozenset({"RandomState", "default_rng", "Generator"})
 
 #: constructors whose arguments become cached/exported payloads.
@@ -66,7 +67,7 @@ SINK_CONSTRUCTORS = {
 SINK_FUNCTIONS = {
     "job_key": "job identity (job_key)",
     "write_events_jsonl": "exporter payload (events JSONL)",
-    "build_chrome_trace": "exporter payload (Chrome trace)",
+    "spans_to_chrome_trace": "exporter payload (Chrome trace)",
 }
 
 #: ``<receiver>.store(...)`` writes where the receiver looks like a
@@ -315,6 +316,7 @@ def run_dx_pass(index: ProjectIndex) -> List[Finding]:
 
 __all__ = [
     "ENV_ALLOWED_MODULE_TAILS",
+    "SEEDED_NUMPY",
     "SINK_CONSTRUCTORS",
     "SINK_FUNCTIONS",
     "WALL_CLOCK_SOURCES",

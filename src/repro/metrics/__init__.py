@@ -22,7 +22,6 @@ from .charts import (
     describe_hierarchy,
     format_barchart,
     format_grouped_barchart,
-    sparkline,
 )
 
 __all__ = [
@@ -41,5 +40,4 @@ __all__ = [
     "describe_hierarchy",
     "format_barchart",
     "format_grouped_barchart",
-    "sparkline",
 ]

@@ -8,7 +8,7 @@ dependencies.  (S-curves live in :func:`repro.metrics.report.format_scurve`.)
 
 from __future__ import annotations
 
-from typing import Dict, Mapping, Optional, Sequence
+from typing import Dict, Mapping, Optional
 
 
 def format_barchart(
@@ -64,20 +64,6 @@ def format_grouped_barchart(
             format_barchart(series, width=width, baseline=baseline)
         )
     return "\n".join(blocks)
-
-
-def sparkline(values: Sequence[float]) -> str:
-    """Compress a series into one line of block characters."""
-    if not values:
-        return ""
-    glyphs = "▁▂▃▄▅▆▇█"
-    low = min(values)
-    high = max(values)
-    span = (high - low) or 1e-9
-    return "".join(
-        glyphs[min(len(glyphs) - 1, int((v - low) / span * len(glyphs)))]
-        for v in values
-    )
 
 
 def describe_hierarchy(config) -> str:

@@ -2,26 +2,30 @@
 
 A *trace* is the full life of one request — an HTTP sweep submission
 or a CLI run — and a *span* is one named stage inside it (ingress,
-admission, queue wait, execution, a simulated phase).  Identifiers are
-random hex from :func:`uuid.uuid4` (not :mod:`random`, so simulation
-RNG streams are untouched and the determinism analyzer stays quiet);
-the trace id travels in the ``X-Repro-Trace`` header, through broker
-queue entries, and into manifest records, which is what lets one id
-join the access log, the span export, and the run manifest.
+admission, queue wait, execution, a CLI job, a host or simulated
+phase).  Identifiers are random hex from :func:`uuid.uuid4` (not
+:mod:`random`, so simulation RNG streams are untouched and the
+determinism analyzer stays quiet); the trace id travels in the
+``X-Repro-Trace`` header, through broker queue entries, and into
+manifest records, which is what lets one id join the access log, the
+span export, and the run manifest.
 
 :class:`SpanBook` is the recorder.  It is deliberately dumb: spans are
 appended to a bounded in-memory list when they *end* (never while
-open), snapshots copy under a lock, and exports are plain JSONL plus a
-Chrome-trace conversion.  Like the phase timer and the metrics
-registry it is disabled-is-free — a disabled book's ``begin`` returns
-a no-op span and records nothing, so hook sites stay unguarded.
+open), snapshots copy under a lock, and exports are plain JSONL plus
+:func:`spans_to_chrome_trace`, the one Chrome-trace writer.  Like the
+phase timer and the metrics registry it is disabled-is-free — a
+disabled book's ``begin`` returns a no-op span and records nothing, so
+hook sites stay unguarded.
 
-Timestamps are :func:`time.perf_counter` offsets from the book's
+Every span carries a clock domain.  ``wall`` spans are
+:func:`time.perf_counter` offsets from the book's
 origin, never wall clock (repo rule CS3): span files from one process
 are internally consistent and diffable, at the cost of not being
 comparable across processes — the worker pipe therefore ships phase
 *durations* (from ``RunSummary.host``), and the parent process lays
-them out inside its own clock domain.
+them out inside its own clock domain.  ``cycles`` spans are simulated
+cycles (a CLI job's per-core warmup/measure phases).
 """
 
 from __future__ import annotations
@@ -70,9 +74,11 @@ def parse_trace_header(value: Optional[str]) -> Optional[str]:
 class Span:
     """One named stage of a trace; mutable until :meth:`SpanBook.end`.
 
-    ``start``/``end`` are seconds relative to the owning book's origin.
-    ``attrs`` carries join keys (``job_key``, ``tenant``, ``sweep_id``)
-    and must stay JSON-scalar-valued.
+    ``start``/``end`` are seconds relative to the owning book's origin
+    for ``clock="wall"`` spans, and simulated cycles for
+    ``clock="cycles"`` spans.  ``attrs`` carries join keys
+    (``job_key``, ``tenant``, ``sweep_id``, ``core``) and must stay
+    JSON-scalar-valued.
     """
 
     name: str
@@ -83,6 +89,7 @@ class Span:
     end: Optional[float] = None
     kind: str = "internal"
     attrs: Dict[str, Any] = field(default_factory=dict)
+    clock: str = "wall"
 
     @property
     def duration(self) -> float:
@@ -101,6 +108,8 @@ class Span:
             data["parent_id"] = self.parent_id
         if self.attrs:
             data["attrs"] = dict(self.attrs)
+        if self.clock != "wall":
+            data["clock"] = self.clock
         return data
 
 
@@ -118,9 +127,10 @@ class SpanBook:
 
     ``begin`` opens a span stamped with the current clock; ``end``
     stamps the close time and appends it to the book.  ``add`` records
-    a pre-timed span (used to replay worker-side phase durations into
-    the parent's clock domain).  When the book is full the newest spans
-    are dropped and counted — dropping history would orphan parents.
+    a pre-timed span, and ``add_phases`` replays a worker's host-phase
+    durations into the parent's clock domain.  When the book is full
+    the newest spans are dropped and counted — dropping history would
+    orphan parents.
     """
 
     def __init__(
@@ -182,6 +192,7 @@ class SpanBook:
         end: float,
         parent_id: Optional[str] = None,
         kind: str = "internal",
+        clock: str = "wall",
         **attrs: Any,
     ) -> Optional[Span]:
         """Record a span whose timing is already known."""
@@ -196,9 +207,34 @@ class SpanBook:
             end=end,
             kind=kind,
             attrs={k: v for k, v in attrs.items() if v is not None},
+            clock=clock,
         )
         self._record(span)
         return span
+
+    def add_phases(self, parent: Span, phases: Dict[str, Dict[str, Any]]) -> None:
+        """Replay a host-phase digest (``{name: {"s", "count"}}``) as
+        ``parent``'s children.  Workers ship phase *durations*, so the
+        phases are laid back to back from the parent's start, widest
+        first; only their widths are meaningful, not their order.
+        Zero-second phases are dropped."""
+        offset = parent.start
+        for name, digest in sorted(
+            phases.items(), key=lambda kv: -float(kv[1].get("s", 0.0))
+        ):
+            seconds = float(digest.get("s", 0.0))
+            if seconds <= 0.0:
+                continue
+            self.add(
+                name,
+                parent.trace_id,
+                start=offset,
+                end=offset + seconds,
+                parent_id=parent.span_id,
+                kind="phase",
+                count=int(digest.get("count", 0)),
+            )
+            offset += seconds
 
     def _record(self, span: Span) -> None:
         with self._lock:
@@ -219,15 +255,22 @@ class SpanBook:
             spans = [span for span in spans if span.trace_id == trace_id]
         return sorted(spans, key=lambda span: (span.start, span.span_id))
 
-    def pop_trace(self, trace_id: str) -> List[Span]:
-        """Remove and return one trace's spans (sweep-completion export
-        frees the slots so long-lived brokers never hit the cap)."""
+    def pop_tree(self, root_id: str) -> List[Span]:
+        """Remove and return span ``root_id`` and all its descendants,
+        oldest first.  A sweep's export frees its slots this way, so a
+        long-lived broker never reaches the cap; popping by tree rather
+        than by trace id keeps two sweeps sharing a client's trace id
+        apart."""
         with self._lock:
-            keep: List[Span] = []
-            taken: List[Span] = []
-            for span in self._spans:
-                (taken if span.trace_id == trace_id else keep).append(span)
-            self._spans = keep
+            children = span_tree(self._spans)
+            taken_ids = {root_id}
+            stack = [root_id]
+            while stack:
+                for child in children.get(stack.pop(), ()):
+                    taken_ids.add(child.span_id)
+                    stack.append(child.span_id)
+            taken = [s for s in self._spans if s.span_id in taken_ids]
+            self._spans = [s for s in self._spans if s.span_id not in taken_ids]
         return sorted(taken, key=lambda span: (span.start, span.span_id))
 
     def write_jsonl(self, stream: IO[str], spans: Optional[List[Span]] = None) -> int:
@@ -240,44 +283,76 @@ class SpanBook:
 
 
 def spans_to_chrome_trace(spans: List[Span]) -> Dict[str, Any]:
-    """Chrome ``trace.json`` view of a span list (load in Perfetto).
+    """The Chrome ``trace.json`` view of a span list (load in Perfetto).
 
-    Traces map to processes, span trees to complete events on one
-    thread lane; microsecond timestamps come straight from the span
-    clock offsets.
+    Each trace is one process, named by its trace id.  Root spans take
+    non-overlapping thread lanes (greedy, freed lanes are reused) and
+    their wall-clock descendants ride the same lane.  ``cycles`` spans
+    get one process per parent span, numbered after the trace
+    processes that precede it, with one named thread per ``core``
+    attr.  Wall seconds render as µs, and so does one cycle.
     """
+    ids = {span.span_id for span in spans}
+    children = span_tree(spans)
     events: List[Dict[str, Any]] = []
-    pids: Dict[str, int] = {}
-    for span in spans:
-        pid = pids.get(span.trace_id)
-        if pid is None:
-            pid = pids[span.trace_id] = len(pids)
-            events.append(
-                {
-                    "name": "process_name",
-                    "ph": "M",
-                    "pid": pid,
-                    "tid": 0,
-                    "args": {"name": f"trace {span.trace_id[:12]}"},
-                }
-            )
-        args = {"span_id": span.span_id}
-        if span.parent_id:
-            args["parent_id"] = span.parent_id
-        args.update(span.attrs)
-        events.append(
-            {
-                "name": span.name,
-                "cat": span.kind,
-                "ph": "X",
-                "pid": pid,
-                "tid": 0,
-                "ts": round(span.start * 1e6, 3),
-                "dur": round(max(span.duration, 0.0) * 1e6, 3),
-                "args": args,
-            }
-        )
-    return {"traceEvents": events, "displayTimeUnit": "ms"}
+    pids: Dict[Any, int] = {}
+    threads = set()
+
+    def process(key: Any, name: str) -> int:
+        if key not in pids:
+            pids[key] = len(pids)
+            events.append(_meta("process_name", pids[key], 0, name))
+        return pids[key]
+
+    def emit(span: Span, pid: int, tid: int) -> None:
+        events.append(_slice(span, pid, tid))
+        for child in children.get(span.span_id, ()):
+            if child.clock == "wall":
+                emit(child, pid, tid)
+                continue
+            sim = process(("cycles", span.span_id), f"{span.name} (simulated cycles)")
+            core = int(child.attrs.get("core", 0))
+            if (sim, core) not in threads:
+                threads.add((sim, core))
+                events.append(_meta("thread_name", sim, core, f"core {core}"))
+            events.append(_slice(child, sim, core))
+
+    lane_ends: Dict[int, List[float]] = {}
+    for span in sorted(spans, key=lambda span: (span.start, span.span_id)):
+        if span.parent_id in ids:
+            continue
+        pid = process(span.trace_id, f"trace {span.trace_id}")
+        ends = lane_ends.setdefault(pid, [])
+        lane = next((i for i, end in enumerate(ends) if span.start >= end), len(ends))
+        ends[lane:lane + 1] = [span.start + span.duration]  # reuse or open
+        emit(span, pid, lane)
+    return {
+        "traceEvents": events,
+        "displayTimeUnit": "ms",
+        "otherData": {"generator": "repro.obs", "note": "1 cycle renders as 1 us"},
+    }
+
+
+def _meta(kind: str, pid: int, tid: int, name: str) -> Dict[str, Any]:
+    return {"name": kind, "ph": "M", "pid": pid, "tid": tid, "args": {"name": name}}
+
+
+def _slice(span: Span, pid: int, tid: int) -> Dict[str, Any]:
+    scale = 1e6 if span.clock == "wall" else 1.0  # to µs
+    args: Dict[str, Any] = {"span_id": span.span_id}
+    if span.parent_id:
+        args["parent_id"] = span.parent_id
+    args.update(span.attrs)
+    return {
+        "name": span.name,
+        "cat": span.kind,
+        "ph": "X",
+        "pid": pid,
+        "tid": tid,
+        "ts": round(span.start * scale, 3),
+        "dur": round(max(span.duration, 0.0) * scale, 3),
+        "args": args,
+    }
 
 
 def span_tree(spans: List[Span]) -> Dict[Optional[str], List[Span]]:

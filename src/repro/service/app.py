@@ -178,6 +178,7 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
             or new_trace_id()
         )
         self._ingress_span = None
+        self._sweep = None  # set by a submission the broker admitted
         try:
             self._route(method, split)
         finally:
@@ -197,7 +198,8 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
             if spans.enabled and method != "GET":
                 # mutating routes open the trace's root span; polling
                 # GETs stay span-free so the book holds request
-                # lifecycles, not monitoring noise.
+                # lifecycles, not monitoring noise.  Only a request
+                # that opens a sweep records it (_finish_request).
                 self._ingress_span = spans.begin(
                     "ingress",
                     self._trace_id,
@@ -241,8 +243,11 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
         """Access log + per-request registry accounting, every path."""
         broker = self.server.broker
         elapsed = time.perf_counter() - self._started
-        if self._ingress_span is not None:
+        if self._ingress_span is not None and self._sweep is not None:
+            # recorded only under a sweep, whose export frees it; any
+            # other request's span would stay in the book for good.
             broker.spans.end(self._ingress_span, status=self._status)
+            broker.request_returned(self._sweep)
         broker.observe_http(
             getattr(self, "_route_label", "unmatched"),
             self._status,
@@ -306,7 +311,7 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
             if self._ingress_span is not None
             else None
         )
-        sweep = self.server.broker.submit(
+        sweep = self._sweep = self.server.broker.submit(
             jobs,
             tenant=self._tenant(),
             trace_id=self._trace_id,

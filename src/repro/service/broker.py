@@ -41,6 +41,7 @@ pipes and bus spools never see concurrent access from this process.
 from __future__ import annotations
 
 import hashlib
+import json
 import threading
 import time
 from dataclasses import replace
@@ -150,6 +151,12 @@ class Sweep:
         self.events: List[Dict[str, Any]] = []
         self.created = time.perf_counter()
         self.cancel_requested = False
+        #: span export state (repro.obs): the sweep's span tree hangs
+        #: off ``root_span`` (the HTTP ingress span, else admission) and
+        #: is exported once the sweep is terminal and ``request_open``
+        #: is off, i.e. the submitting request has ended its span.
+        self.root_span: Optional[str] = None
+        self.request_open = False
         self.spans_exported = False
 
     @property
@@ -256,6 +263,9 @@ class JobBroker:
             if self.cache.directory is not None
             else None
         )
+        #: serialises a sweep's export against ``/trace`` reads, so a
+        #: reader never sees it between the book and its file.
+        self._export_lock = threading.Lock()
         #: the scheduling loop, stepped by the broker thread.  Its
         #: backend is built in :meth:`start` from ``config.executor``
         #: (serial / pool / bus), degraded to :class:`SerialExecutor`
@@ -473,6 +483,8 @@ class JobBroker:
                         fresh.append(key)
                 self._admit(tenant, [ordered[key] for key in fresh])
                 sweep = self._new_sweep(tenant, list(ordered), trace_id)
+                sweep.root_span = parent_span or admission.span_id
+                sweep.request_open = parent_span is not None
                 for key, job in ordered.items():
                     sweep.labels[key] = job.label()
                 for key in cached:
@@ -520,8 +532,9 @@ class JobBroker:
             reason = (
                 "queue_full" if isinstance(exc, QueueFullError) else "quota"
             )
+            # the admission span is not recorded: no sweep exists to
+            # export (and so free) it.
             self.m_rejects.inc(tenant=tenant, reason=reason)
-            self.spans.end(admission, rejected=reason)
             raise
         # registry accounting happens outside the broker lock: the
         # registry has its own, and lock order must stay acyclic.
@@ -553,9 +566,14 @@ class JobBroker:
             queued=len(fresh),
             trace_id=trace_id,
         )
-        if not fresh:
-            self._export_spans_if_done(sweep)
+        self._export_spans_if_done(sweep)
         return sweep
+
+    def request_returned(self, sweep: Sweep) -> None:
+        """The HTTP request that submitted ``sweep`` has ended its
+        ingress span: export the sweep's spans if it is already done."""
+        sweep.request_open = False
+        self._export_spans_if_done(sweep)
 
     def _admit(self, tenant: str, fresh_jobs: List[SimJob]) -> None:
         """Capacity checks for the genuinely new jobs (lock held)."""
@@ -632,7 +650,7 @@ class JobBroker:
             if sweep is None:
                 return None
             sweep.cancel_requested = True
-            cancelled = 0
+            cancelled: List[_Entry] = []
             for key in sweep.keys:
                 entry = self._inflight.get(key)
                 if entry is None or entry.state != JOB_QUEUED:
@@ -648,25 +666,30 @@ class JobBroker:
                 self._queued_count -= 1
                 self._release_quota(entry)
                 del self._inflight[key]
-                cancelled += 1
+                cancelled.append(entry)
                 self.counters["jobs_cancelled"] += 1
                 for subscriber in entry.sweeps:
                     subscriber.statuses[key] = JOB_CANCELLED
                     self._event(subscriber, "job_cancelled", key=key)
             self.counters["sweeps_cancelled"] += 1
             self._cond.notify_all()
+        for entry in cancelled:
+            self._journal(entry, JOB_CANCELLED)
         if cancelled:
             self.m_completed.inc(
-                cancelled, tenant=sweep.tenant, status="cancelled"
+                len(cancelled), tenant=sweep.tenant, status="cancelled"
             )
         log.info(
             "sweep_cancelled",
             sweep=sweep_id,
-            drained=cancelled,
+            drained=len(cancelled),
             trace_id=sweep.trace_id,
         )
-        self._export_spans_if_done(sweep)
-        return cancelled
+        # a drained entry may also finish an earlier-cancelled sweep
+        touched = [sweep, *(s for entry in cancelled for s in entry.sweeps)]
+        for finished in dict.fromkeys(touched):
+            self._export_spans_if_done(finished)
+        return len(cancelled)
 
     def wait_events(
         self, sweep_id: str, since: int, timeout: float = 10.0
@@ -836,56 +859,43 @@ class JobBroker:
         self, entry: _Entry, status: str, host: Optional[Dict[str, Any]]
     ) -> None:
         """Close the execute span and replay the job's host phases as
-        its children — the worker ships phase *durations* over the
-        pipe, and they are laid back to back inside the execute span
-        here, in the broker's clock domain."""
+        its children, in the broker's clock domain."""
         span = entry.exec_span
         entry.exec_span = None
         if span is None or not self.spans.enabled or not entry.trace_id:
             return
         self.spans.end(span, status=status, attempts=entry.attempts)
-        phases = (host or {}).get("phases") or {}
-        offset = span.start
-        for name, digest in sorted(
-            phases.items(), key=lambda kv: -float(kv[1].get("s", 0.0))
-        ):
-            seconds = float(digest.get("s", 0.0))
-            if seconds <= 0.0:
-                continue
-            self.spans.add(
-                name,
-                entry.trace_id,
-                start=offset,
-                end=offset + seconds,
-                parent_id=span.span_id,
-                kind="phase",
-                count=int(digest.get("count", 0)),
-            )
-            offset += seconds
+        self.spans.add_phases(span, (host or {}).get("phases") or {})
 
     def _export_spans_if_done(self, sweep: Sweep) -> None:
-        """Write ``obs/spans-<sweep>.jsonl`` once a sweep is terminal.
+        """Move a finished sweep's spans from the book to
+        ``obs/spans-<sweep>.jsonl``.
 
-        Called outside the broker lock — file I/O must never block
-        admission.  The flag race is benign: a double export rewrites
-        the same content.
+        A sweep exports once it is terminal *and* its submitting
+        request has returned, so the file holds the whole chain from
+        ingress down; the export then frees the sweep's slots in the
+        book.  Called outside the broker lock — file I/O must never
+        block admission.
         """
         if (
             not self.spans.enabled
             or sweep.trace_id is None
             or self._spans_dir is None
-            or sweep.spans_exported
+            or sweep.request_open
             or sweep.state == SWEEP_RUNNING
         ):
             return
-        spans = self.spans.snapshot(sweep.trace_id)
-        if not spans:
-            return
-        sweep.spans_exported = True
-        self._spans_dir.mkdir(parents=True, exist_ok=True)
-        path = self._spans_dir / f"spans-{sweep.id}.jsonl"
-        with path.open("w", encoding="utf-8") as handle:
-            self.spans.write_jsonl(handle, spans)
+        with self._export_lock:
+            if sweep.spans_exported:
+                return
+            sweep.spans_exported = True
+            spans = self.spans.pop_tree(sweep.root_span)
+            if not spans:
+                return
+            self._spans_dir.mkdir(parents=True, exist_ok=True)
+            path = self._spans_dir / f"spans-{sweep.id}.jsonl"
+            with path.open("w", encoding="utf-8") as handle:
+                self.spans.write_jsonl(handle, spans)
         log.debug(
             "spans_exported", sweep=sweep.id, path=str(path), spans=len(spans)
         )
@@ -896,14 +906,19 @@ class JobBroker:
             sweep = self._sweeps.get(sweep_id)
         if sweep is None:
             return None
-        spans = (
-            self.spans.snapshot(sweep.trace_id) if sweep.trace_id else []
-        )
-        return {
-            "sweep": sweep.id,
-            "trace_id": sweep.trace_id,
-            "spans": [span.to_json_dict() for span in spans],
-        }
+        with self._export_lock:
+            if sweep.spans_exported:
+                path = self._spans_dir / f"spans-{sweep.id}.jsonl"
+                text = path.read_text(encoding="utf-8") if path.exists() else ""
+                spans = [json.loads(line) for line in text.splitlines()]
+            elif sweep.trace_id:
+                spans = [
+                    span.to_json_dict()
+                    for span in self.spans.snapshot(sweep.trace_id)
+                ]
+            else:
+                spans = []
+        return {"sweep": sweep.id, "trace_id": sweep.trace_id, "spans": spans}
 
     def observe_http(
         self, route: str, status: int, tenant: str, seconds: float
@@ -982,15 +997,7 @@ class JobBroker:
         # have published the same key already — same bytes, so the
         # second store is an idempotent overwrite, never a conflict.
         self.cache.store(entry.key, summary)
-        if self.manifest is not None:
-            self.manifest.record(
-                entry.key,
-                "done",
-                attempts=entry.attempts,
-                label=entry.job.label(),
-                host=compact_host(summary.host),
-                trace_id=entry.trace_id,
-            )
+        self._journal(entry, JOB_DONE, host=compact_host(summary.host))
         self._end_exec_span(entry, "done", summary.host)
         self.m_exec.observe(
             max(0.0, time.perf_counter() - entry.dispatched),
@@ -1021,6 +1028,7 @@ class JobBroker:
 
     def _fail(self, key: str, entry: _Entry, error: str, attempts: int) -> None:
         entry.attempts = attempts
+        self._journal(entry, JOB_FAILED, error=error)
         self._end_exec_span(entry, "failed", None)
         self.m_exec.observe(
             max(0.0, time.perf_counter() - entry.dispatched),
@@ -1049,6 +1057,20 @@ class JobBroker:
         )
         for sweep in subscribers:
             self._export_spans_if_done(sweep)
+
+    def _journal(self, entry: _Entry, status: str, **fields: Any) -> None:
+        """Append a terminal outcome to ``sweep-manifest.jsonl``, as the
+        CLI orchestrator does (called outside the broker lock)."""
+        if self.manifest is not None:
+            self.manifest.record(
+                entry.key,
+                status,
+                attempts=entry.attempts,
+                label=entry.job.label(),
+                category=entry.job.category,
+                trace_id=entry.trace_id,
+                **fields,
+            )
 
     def _event(self, sweep: Sweep, event: str, **fields: Any) -> None:
         """Append one progress event to a sweep's feed (lock held)."""

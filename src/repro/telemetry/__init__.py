@@ -36,7 +36,7 @@ from .events import (
     EVENT_VCACHE_RESCUE,
     TraceEvent,
 )
-from .export import RunTelemetry, build_chrome_trace, write_events_jsonl
+from .export import RunTelemetry, write_events_jsonl
 from .intervals import (
     KEY_INCLUSION_VICTIMS,
     KEY_LLC_MISSES,
@@ -92,7 +92,6 @@ __all__ = [
     "TelemetryConfig",
     "TraceEvent",
     "Tracer",
-    "build_chrome_trace",
     "get_logger",
     "level_from_env",
     "validate_chrome_trace",

@@ -7,27 +7,30 @@ Three artefacts, all schema-pinned by :mod:`repro.telemetry.schema`:
   (worker processes write their own files; names are job-key-unique so
   there is never a concurrent writer).
 * ``trace.json`` — a Chrome-trace file loadable in ``chrome://tracing``
-  or https://ui.perfetto.dev.  Process 0 shows the sweep in *wall
-  time*: one complete-event span per executed job, laid out in
-  non-overlapping lanes.  Each traced job additionally appears as its
-  own process in *simulated time* (1 cycle rendered as 1 µs) with one
-  thread per core carrying its ``warmup`` / ``measure`` phase spans.
+  or https://ui.perfetto.dev, written by
+  :func:`repro.obs.spans_to_chrome_trace` from the run's span book.
+  Process 0 is the sweep's trace in *wall time*: one ``job`` span per
+  executed job, laid out in non-overlapping lanes, with the job's host
+  phases as ``phase`` children on its lane.  Each traced job also
+  appears as its own process in *simulated time* (1 cycle rendered as
+  1 µs) with one thread per core carrying its ``warmup`` / ``measure``
+  ``cycles`` spans.
 * ``run-manifest.json`` — the run-wide structured record: per job its
   key, label, terminal status, attempt count, wall/CPU seconds and
   cache-hit provenance.
 
-Wall times are ``time.perf_counter`` offsets from the sweep start —
-pure elapsed time, never the host clock (lint rule CS3).
+Wall times are ``time.perf_counter`` offsets from the span book's
+origin — pure elapsed time, never the host clock (lint rule CS3).
 """
 
 from __future__ import annotations
 
 import json
-import time
+import sys
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Union
 
-from ..obs.tracing import new_span_id, new_trace_id
+from ..obs.tracing import SpanBook, new_trace_id, spans_to_chrome_trace
 from .config import TelemetryConfig
 from .events import TraceEvent
 
@@ -35,11 +38,6 @@ from .events import TraceEvent
 #: v2 adds the run-wide ``trace_id`` and per-job ``trace_id``/``span_id``
 #: join keys (repro.obs request tracing).
 MANIFEST_SCHEMA_VERSION = 2
-
-#: Chrome-trace pid of the wall-time sweep lane group.
-SWEEP_PID = 0
-#: first pid used for per-job simulated-time processes.
-JOB_PID_BASE = 1000
 
 
 def write_events_jsonl(
@@ -53,140 +51,6 @@ def write_events_jsonl(
             handle.write(json.dumps(event.to_json_dict(), sort_keys=True))
             handle.write("\n")
     return path
-
-
-def _assign_lanes(spans: List[dict]) -> None:
-    """Greedy non-overlap lane assignment (sets ``span['lane']``)."""
-    lane_ends: List[float] = []
-    for span in sorted(spans, key=lambda item: item["start"]):
-        for lane, end in enumerate(lane_ends):
-            if span["start"] >= end:
-                span["lane"] = lane
-                lane_ends[lane] = span["end"]
-                break
-        else:
-            span["lane"] = len(lane_ends)
-            lane_ends.append(span["end"])
-
-
-def build_chrome_trace(jobs: List[dict]) -> Dict:
-    """Build the Chrome-trace dict from :class:`RunTelemetry` job rows."""
-    trace_events: List[dict] = [
-        {
-            "name": "process_name",
-            "ph": "M",
-            "pid": SWEEP_PID,
-            "tid": 0,
-            "args": {"name": "sweep (wall time)"},
-        }
-    ]
-    executed = [job for job in jobs if not job["cached"] and job.get("end")]
-    _assign_lanes(executed)
-    for job in executed:
-        trace_events.append(
-            {
-                "name": job["label"],
-                "cat": "job",
-                "ph": "X",
-                "ts": job["start"] * 1e6,
-                "dur": max(0.0, job["end"] - job["start"]) * 1e6,
-                "pid": SWEEP_PID,
-                "tid": job["lane"],
-                "args": {
-                    "key": job["key"],
-                    "status": job["status"],
-                    "attempts": job["attempts"],
-                },
-            }
-        )
-        # Host phase sub-spans (repro.perf.PhaseTimer): exclusive
-        # per-phase totals laid out back to back inside the job span.
-        # They sum to (almost exactly) the job's wall time, so Chrome
-        # tracing nests them under the job as a one-level flame row;
-        # only their widths are meaningful, not their order.
-        host_phases = (job.get("host") or {}).get("phases") or {}
-        offset = job["start"]
-        for name, digest in sorted(
-            host_phases.items(), key=lambda kv: -float(kv[1].get("s", 0.0))
-        ):
-            seconds = float(digest.get("s", 0.0))
-            if seconds <= 0.0:
-                continue
-            trace_events.append(
-                {
-                    "name": name,
-                    "cat": "host_phase",
-                    "ph": "X",
-                    "ts": offset * 1e6,
-                    "dur": seconds * 1e6,
-                    "pid": SWEEP_PID,
-                    "tid": job["lane"],
-                    "args": {"count": int(digest.get("count", 0))},
-                }
-            )
-            offset += seconds
-    pid = JOB_PID_BASE
-    for job in executed:
-        phases = (job.get("telemetry") or {}).get("core_phases") or []
-        if not phases:
-            continue
-        trace_events.append(
-            {
-                "name": "process_name",
-                "ph": "M",
-                "pid": pid,
-                "tid": 0,
-                "args": {"name": f"{job['label']} (simulated cycles)"},
-            }
-        )
-        for core in phases:
-            tid = int(core.get("core", 0))
-            trace_events.append(
-                {
-                    "name": "thread_name",
-                    "ph": "M",
-                    "pid": pid,
-                    "tid": tid,
-                    "args": {"name": f"core {tid}"},
-                }
-            )
-            warmup_end = float(core.get("warmup_cycles", 0.0))
-            quota_end = float(core.get("quota_cycles", warmup_end))
-            if warmup_end > 0:
-                trace_events.append(
-                    {
-                        "name": "warmup",
-                        "cat": "phase",
-                        "ph": "X",
-                        "ts": 0.0,
-                        "dur": warmup_end,
-                        "pid": pid,
-                        "tid": tid,
-                        "args": {},
-                    }
-                )
-            trace_events.append(
-                {
-                    "name": "measure",
-                    "cat": "phase",
-                    "ph": "X",
-                    "ts": warmup_end,
-                    "dur": max(0.0, quota_end - warmup_end),
-                    "pid": pid,
-                    "tid": tid,
-                    "args": {},
-                }
-            )
-        pid += 1
-    return {
-        "traceEvents": trace_events,
-        "displayTimeUnit": "ms",
-        "otherData": {
-            "generator": "repro.telemetry",
-            "note": "pid 0 is wall time; job processes are simulated "
-            "cycles rendered as microseconds",
-        },
-    }
 
 
 class RunTelemetry:
@@ -203,15 +67,18 @@ class RunTelemetry:
     ) -> None:
         self.config = config
         self.out_dir = Path(config.out_dir)
+        #: run-manifest rows, one per job outcome.
         self.jobs: List[dict] = []
-        self._origin = time.perf_counter()
+        #: the run's spans and its only clock; bounded only by the
+        #: sweep itself, like the manifest rows.
+        self.spans = SpanBook(max_spans=sys.maxsize)
         # every CLI sweep is one trace; callers that arrived with a
         # trace (the service path) pass theirs so artefacts join up.
         self.trace_id = trace_id if trace_id is not None else new_trace_id()
 
     def now(self) -> float:
         """Seconds since this sweep's telemetry started (wall span)."""
-        return time.perf_counter() - self._origin
+        return self.spans.now()
 
     # -- provenance hooks (orchestrator / runner) ---------------------------
     def note_cached(self, key: str, label: str) -> None:
@@ -237,53 +104,63 @@ class RunTelemetry:
         error: Optional[str] = None,
         host: Optional[Dict] = None,
     ) -> None:
+        job = self.spans.add(
+            label,
+            self.trace_id,
+            start,
+            end,
+            kind="job",
+            key=key,
+            status=status,
+            attempts=attempts,
+        )
         row = {
             "key": key,
             "label": label,
             "status": status,
             "cached": False,
             "attempts": attempts,
-            "start": start,
-            "end": end,
             "wall_s": max(0.0, end - start),
-            "span_id": new_span_id(),
+            "trace_id": self.trace_id,
+            "span_id": job.span_id,
         }
         if telemetry:
-            row["telemetry"] = telemetry
             if "cpu_s" in telemetry:
                 row["cpu_s"] = float(telemetry["cpu_s"])
             if "recorded" in telemetry:
                 row["events"] = int(telemetry["recorded"])
+            for core in telemetry.get("core_phases") or []:
+                warmup = float(core.get("warmup_cycles", 0.0))
+                quota = float(core.get("quota_cycles", warmup))
+                phases = [("warmup", 0.0, warmup)] if warmup > 0 else []
+                phases.append(("measure", warmup, max(warmup, quota)))
+                for name, begin, finish in phases:
+                    self.spans.add(
+                        name,
+                        self.trace_id,
+                        begin,
+                        finish,
+                        parent_id=job.span_id,
+                        kind="phase",
+                        clock="cycles",
+                        core=int(core.get("core", 0)),
+                    )
         if host:
             # host-performance digest from repro.perf (wall seconds,
             # simulated-work rates, optional phase report).
             row["host"] = host
             if "cpu_s" not in row and "cpu_s" in host:
                 row["cpu_s"] = float(host["cpu_s"])
+            self.spans.add_phases(job, host.get("phases") or {})
         if error is not None:
             row["error"] = error
         self.jobs.append(row)
 
     # -- artefact writers ----------------------------------------------------
     def manifest_dict(self, settings: Optional[Dict] = None) -> Dict:
-        jobs = []
-        for job in self.jobs:
-            row = {
-                "key": job["key"],
-                "label": job["label"],
-                "status": job["status"],
-                "cached": job["cached"],
-                "attempts": job["attempts"],
-            }
-            for key in ("wall_s", "cpu_s", "events", "error", "host", "span_id"):
-                if key in job:
-                    row[key] = job[key]
-            if not job["cached"]:
-                row["trace_id"] = self.trace_id
-            jobs.append(row)
         manifest = {
             "schema": MANIFEST_SCHEMA_VERSION,
-            "jobs": jobs,
+            "jobs": [dict(job) for job in self.jobs],
             "trace_id": self.trace_id,
         }
         if settings is not None:
@@ -295,7 +172,8 @@ class RunTelemetry:
         self.out_dir.mkdir(parents=True, exist_ok=True)
         trace_path = self.out_dir / "trace.json"
         trace_path.write_text(
-            json.dumps(build_chrome_trace(self.jobs)), encoding="utf-8"
+            json.dumps(spans_to_chrome_trace(self.spans.snapshot())),
+            encoding="utf-8",
         )
         manifest_path = self.out_dir / "run-manifest.json"
         manifest_path.write_text(

@@ -86,6 +86,7 @@ SPAN_SCHEMA: Dict = {
             "enum": ["server", "internal", "queue", "worker", "phase"],
         },
         "attrs": {"type": "object"},
+        "clock": {"type": "string", "enum": ["wall", "cycles"]},
     },
 }
 

@@ -38,6 +38,19 @@ def test_fixture_triggers_every_rule():
     assert len(by_rule["CS4"]) == 4
 
 
+def test_cs2_agrees_with_dx2_on_seeded_numpy(tmp_path):
+    """Lint reads the determinism analyzer's source table, so a
+    ``Generator`` construction DX2 accepts is clean for CS2 too, while
+    a global-generator draw stays flagged."""
+    source = tmp_path / "seeded.py"
+    source.write_text(
+        "import numpy as np\n"
+        "rng = np.random.Generator(bit_generator)\n"
+        "draws = np.random.rand(4)\n"
+    )
+    assert [(v.rule, v.line) for v in check_file(source)] == [("CS2", 3)]
+
+
 def test_violation_rendering_is_clickable():
     violation = LintViolation("src/x.py", 12, 4, "CS3", "no wall clock")
     assert str(violation) == "src/x.py:12:4: CS3 no wall clock"

@@ -5,7 +5,6 @@ from repro.metrics import (
     describe_hierarchy,
     format_barchart,
     format_grouped_barchart,
-    sparkline,
 )
 
 
@@ -43,22 +42,6 @@ class TestBarchart:
         assert out.splitlines()[0] == "Fig"
         assert "[MIX_10]" in out
         assert "[MIX_01]" in out
-
-
-class TestSparkline:
-    def test_empty(self):
-        assert sparkline([]) == ""
-
-    def test_length_matches(self):
-        assert len(sparkline([1, 2, 3, 4])) == 4
-
-    def test_monotone_series(self):
-        line = sparkline([0, 1, 2, 3, 4, 5, 6, 7])
-        assert line[0] == "▁"
-        assert line[-1] == "█"
-
-    def test_flat_series(self):
-        assert set(sparkline([5, 5, 5])) <= {"▁"}
 
 
 class TestDescribeHierarchy:

@@ -94,11 +94,55 @@ class TestSpanBook:
         book = SpanBook()
         keep, take = new_trace_id(), new_trace_id()
         book.end(book.begin("a", keep))
-        book.end(book.begin("b", take))
-        assert [s.name for s in book.snapshot(take)] == ["b"]
-        popped = book.pop_trace(take)
-        assert [s.name for s in popped] == ["b"]
+        root = book.begin("b", take)
+        book.end(book.begin("c", take, parent_id=root.span_id))
+        book.end(root)
+        assert [s.name for s in book.snapshot(take)] == ["b", "c"]
+        popped = book.pop_tree(root.span_id)
+        assert [s.name for s in popped] == ["b", "c"]
         assert [s.name for s in book.snapshot()] == ["a"]
+
+    def test_pop_tree_leaves_a_sibling_tree_of_the_same_trace(self):
+        """Two sweeps may share a client's trace id; exporting one
+        must not take the other's spans."""
+        book = SpanBook()
+        trace = new_trace_id()
+        first, second = book.begin("first", trace), book.begin("second", trace)
+        for parent in (first, second):
+            book.end(book.begin("child", trace, parent_id=parent.span_id))
+            book.end(parent)
+        assert len(book.pop_tree(first.span_id)) == 2
+        assert {s.parent_id for s in book.snapshot()} == {None, second.span_id}
+
+    def test_add_phases_widest_first_back_to_back(self):
+        clock = FakeClock()
+        book = SpanBook(clock=clock)
+        parent = book.begin("execute", new_trace_id())
+        clock.tick(1.0)
+        book.end(parent)
+        book.add_phases(
+            parent,
+            {
+                "sim_loop": {"s": 0.25, "count": 1},
+                "l1_access": {"s": 0.5, "count": 9},
+                "idle": {"s": 0.0, "count": 1},
+            },
+        )
+        phases = [s for s in book.snapshot() if s.parent_id == parent.span_id]
+        assert [(s.name, s.start, s.end) for s in phases] == [
+            ("l1_access", 0.0, 0.5),
+            ("sim_loop", 0.5, 0.75),
+        ]
+        assert {s.kind for s in phases} == {"phase"}
+        assert phases[0].attrs == {"count": 9}
+
+    def test_clock_serialised_only_off_the_wall(self):
+        book = SpanBook()
+        trace = new_trace_id()
+        wall = book.add("job", trace, 0.0, 1.0)
+        cycles = book.add("measure", trace, 10.0, 20.0, clock="cycles")
+        assert "clock" not in wall.to_json_dict()
+        assert cycles.to_json_dict()["clock"] == "cycles"
 
     def test_disabled_book_is_free(self):
         book = SpanBook(enabled=False)
@@ -144,3 +188,5 @@ class TestExports:
         parent_slice = next(e for e in slices if e["name"] == "parent")
         assert parent_slice["ts"] == 0.0
         assert parent_slice["dur"] == 2e6
+        # the child rides its parent's process and lane
+        assert {(e["pid"], e["tid"]) for e in slices} == {(0, 0)}

@@ -5,6 +5,8 @@ instrumented execute function, so every scheduling decision is
 observable without subprocess latency.
 """
 
+import json
+import sys
 import threading
 import time
 
@@ -215,6 +217,18 @@ class TestCancellation:
         assert broker._tenant_instr["t"] == 0
         assert not broker._inflight
 
+    def test_cancel_while_queued_is_journalled(self, tmp_path):
+        """The journal records a drained job as the CLI's does."""
+        broker = make_broker(tmp_path, start=False)
+        job = make_job()
+        sweep = broker.submit([job], trace_id="c" * 32)
+        broker.cancel(sweep.id)
+        record = broker.manifest.statuses()[sweep.keys[0]]
+        assert record.status == "cancelled"
+        assert record.attempts == 0
+        assert (record.label, record.category) == (job.label(), job.category)
+        assert record.trace_id == "c" * 32
+
     def test_cancel_unknown_sweep(self, tmp_path):
         broker = make_broker(tmp_path, start=False)
         assert broker.cancel("swp-nope") is None
@@ -227,6 +241,20 @@ class TestCancellation:
         assert broker.cancel(mine.id) == 1  # only the unshared job drains
         assert mine.statuses[mine.keys[1]] == "cancelled"
         assert theirs.state == "running"  # shared job still queued
+
+    def test_draining_a_shared_job_exports_every_sweep_it_finishes(
+        self, tmp_path
+    ):
+        broker = make_broker(tmp_path, start=False)
+        first = broker.submit([make_job()])
+        second = broker.submit([make_job()])  # coalesces onto first's job
+        assert broker.cancel(first.id) == 0  # second still waits on it
+        assert broker.cancel(second.id) == 1
+        assert first.state == second.state == "cancelled"
+        obs = tmp_path / "cache" / "obs"
+        for sweep in (first, second):
+            assert (obs / f"spans-{sweep.id}.jsonl").exists()
+        assert len(broker.spans) == 0
 
     def test_cancelled_jobs_never_execute(self, tmp_path):
         executed = []
@@ -299,6 +327,84 @@ class TestObservability:
             assert broker.counters["jobs_failed"] == 1
         finally:
             broker.stop()
+
+    def test_outcomes_are_journalled_with_category(self, tmp_path):
+        """Failed and done jobs reach ``sweep-manifest.jsonl`` with the
+        label, category and trace id the CLI orchestrator journals."""
+
+        def failing_qbs(job):
+            if job.tla == "qbs":
+                raise ValueError("synthetic failure")
+            return fake_summary(job)
+
+        broker = make_broker(tmp_path, execute=failing_qbs, retries=0)
+        try:
+            good, bad = make_job(), make_job(tla="qbs")
+            sweep = broker.submit([good, bad], trace_id="d" * 32)
+            wait_terminal(broker, sweep)
+        finally:
+            broker.stop()
+        good_key, bad_key = sweep.keys
+        [failed] = broker.manifest.failed().values()
+        assert failed.key == bad_key
+        assert failed.attempts == 1
+        assert "synthetic failure" in failed.error
+        assert (failed.label, failed.category) == (bad.label(), bad.category)
+        assert failed.trace_id == "d" * 32
+        done = broker.manifest.statuses()[good_key]
+        assert (done.status, done.category) == ("done", good.category)
+
+
+class TestSpanExport:
+    def test_export_races_request_return_without_loss(self, tmp_path):
+        """A sweep exports exactly once, with its ingress span, whether
+        its last job or its request's return comes second; all 120
+        share one client trace id."""
+        broker = make_broker(tmp_path)
+        sweeps = []
+        lock = threading.Lock()
+
+        def client(offset):
+            for index in range(offset, 120, 4):
+                ingress = broker.spans.begin("ingress", "e" * 32)
+                sweep = broker.submit(
+                    [make_job(quota=1_000 + index)],
+                    trace_id="e" * 32,
+                    parent_span=ingress.span_id,
+                )
+                if index % 2:  # the job finishes before the request
+                    wait_terminal(broker, sweep)
+                broker.spans.end(ingress)
+                broker.request_returned(sweep)
+                with lock:
+                    sweeps.append(sweep)
+
+        saved = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [
+                threading.Thread(target=client, args=(n,)) for n in range(4)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(30)
+            assert not any(thread.is_alive() for thread in threads)
+            for sweep in sweeps:
+                wait_terminal(broker, sweep)
+            deadline = time.perf_counter() + 10
+            while len(broker.spans) and time.perf_counter() < deadline:
+                time.sleep(0.01)
+        finally:
+            sys.setswitchinterval(saved)
+            broker.stop()
+        assert len(sweeps) == 120
+        assert len(broker.spans) == 0 and broker.spans.dropped == 0
+        obs = tmp_path / "cache" / "obs"
+        for sweep in sweeps:
+            path = obs / f"spans-{sweep.id}.jsonl"
+            names = [json.loads(l)["name"] for l in path.read_text().splitlines()]
+            assert sorted(names) == ["admission", "execute", "ingress", "queue"]
 
 
 class TestDegradeRequeue:

@@ -14,15 +14,20 @@ import json
 import threading
 import time
 import urllib.request
+from pathlib import Path
 
 import pytest
 
-from repro.obs import check_exposition, span_tree
+from repro.obs import Span, check_exposition, span_tree, spans_to_chrome_trace
 from repro.orchestrate import SimJob, job_key
 from repro.service import JobBroker, ServiceConfig, create_server
 from repro.service.app import access_log
 from repro.telemetry import validate_spans_jsonl
-from repro.telemetry.schema import SERVICE_METRICS_SCHEMA, check
+from repro.telemetry.schema import (
+    CHROME_TRACE_SCHEMA,
+    SERVICE_METRICS_SCHEMA,
+    check,
+)
 
 from .test_broker import fake_summary, make_job
 
@@ -77,6 +82,15 @@ class LiveService:
         )
         with urllib.request.urlopen(request, timeout=30) as response:
             return response.status, json.loads(response.read()), response.headers
+
+    def wait_spans_file(self, sweep_id, timeout=30.0):
+        """The sweep's exported span file, once the broker writes it."""
+        path = Path(self.config.cache_dir) / "obs" / f"spans-{sweep_id}.jsonl"
+        deadline = time.perf_counter() + timeout
+        while not path.exists():
+            assert time.perf_counter() < deadline, f"{path} never written"
+            time.sleep(0.02)
+        return path
 
     def wait_done(self, sweep_id, timeout=30.0):
         deadline = time.perf_counter() + timeout
@@ -212,6 +226,93 @@ class TestTracePropagation:
             )
             assert body["sweep"]["trace_id"] != "not-hex!"
             assert len(body["sweep"]["trace_id"]) == 32
+
+
+class TestOneTimeline:
+    def test_one_trace_id_opens_one_timeline(self, tmp_path):
+        """A sweep's spans render through the one Chrome-trace writer
+        as one process and one lane, from ingress to the host phases."""
+        with LiveService(tmp_path) as service:
+            _, body, _ = service.request(
+                "POST", "/v1/sweeps", job_body(tiny_job())
+            )
+            sweep_id = body["sweep"]["id"]
+            service.wait_done(sweep_id)
+            lines = service.wait_spans_file(sweep_id).read_text().splitlines()
+        doc = spans_to_chrome_trace([Span(**json.loads(l)) for l in lines])
+        assert check(doc, CHROME_TRACE_SCHEMA) == []
+        # one process, named by the whole trace id the access log and
+        # the manifest carry
+        [process] = [
+            e for e in doc["traceEvents"] if e["name"] == "process_name"
+        ]
+        assert process["args"]["name"] == f"trace {body['sweep']['trace_id']}"
+        slices = [e for e in doc["traceEvents"] if e["ph"] == "X"]
+        by_name = {e["name"]: e for e in slices}
+        chain = ["ingress", "admission", "queue", "execute"]
+        phases = [e for e in slices if e["cat"] == "phase"]
+        assert {"sim_loop", "execute_job"} <= {e["name"] for e in phases}
+        lanes = {(e["pid"], e["tid"]) for e in phases}
+        lanes |= {(by_name[n]["pid"], by_name[n]["tid"]) for n in chain}
+        assert lanes == {(0, 0)}
+        execute = by_name["execute"]
+        for phase in phases:
+            assert phase["args"]["parent_id"] == execute["args"]["span_id"]
+            assert phase["ts"] >= execute["ts"]
+            assert (
+                phase["ts"] + phase["dur"]
+                <= execute["ts"] + execute["dur"] + 1.0  # µs rounding
+            )
+
+
+class TestSpanBookStaysBounded:
+    def test_sequential_sweeps_export_whole_chains_and_free_the_book(
+        self, tmp_path
+    ):
+        """Each finished sweep moves its spans from the book to its
+        file, so a book capped just above one sweep never drops; an
+        all-cached re-POST exports after its request ends, ingress
+        included."""
+        def chain(path):
+            assert validate_spans_jsonl(path) == []
+            spans = [json.loads(l) for l in path.read_text().splitlines()]
+            tree = span_tree([Span(**span) for span in spans])
+            [root] = tree[None]
+            assert root.name == "ingress"
+            return {span["name"] for span in spans}
+
+        with LiveService(tmp_path) as service:
+            book = service.broker.spans
+            first = service.request(
+                "POST", "/v1/sweeps", job_body(tiny_job())
+            )[1]["sweep"]["id"]
+            service.wait_done(first)
+            book.max_spans = len(
+                service.wait_spans_file(first).read_text().splitlines()
+            ) + 1
+            cold = {"ingress", "admission", "queue", "execute", "sim_loop"}
+            for job, cached in (
+                (tiny_job(quota=2_100), False),
+                (tiny_job(), True),  # the all-cached re-POST
+                (tiny_job(quota=2_200), False),
+            ):
+                sweep_id = service.request(
+                    "POST", "/v1/sweeps", job_body(job)
+                )[1]["sweep"]["id"]
+                final = service.wait_done(sweep_id)
+                names = chain(service.wait_spans_file(sweep_id))
+                if cached:
+                    assert final["counts"] == {"cached": 1}
+                    assert names == {"ingress", "admission"}
+                else:
+                    assert cold <= names
+                assert book.dropped == 0
+            assert len(book) == 0
+            # an exported sweep's /trace is served from its file
+            _, trace_doc, _ = service.request(
+                "GET", f"/v1/sweeps/{first}/trace"
+            )
+            assert {s["name"] for s in trace_doc["spans"]} >= cold
 
 
 class TestMetricsSurface:

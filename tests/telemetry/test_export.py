@@ -2,15 +2,14 @@
 
 import json
 
+from repro.obs import spans_to_chrome_trace
 from repro.telemetry import (
     RunTelemetry,
     TelemetryConfig,
     TraceEvent,
-    build_chrome_trace,
     write_events_jsonl,
 )
 from repro.telemetry.__main__ import validate_dir
-from repro.telemetry.export import JOB_PID_BASE, SWEEP_PID, _assign_lanes
 from repro.telemetry.schema import (
     check,
     CHROME_TRACE_SCHEMA,
@@ -40,17 +39,32 @@ class TestEventsJsonl:
         assert any("invalid JSON" in error for error in errors)
 
 
+def _chrome_trace(telemetry):
+    return spans_to_chrome_trace(telemetry.spans.snapshot())
+
+
+def _job_slices(trace):
+    return [
+        event
+        for event in trace["traceEvents"]
+        if event["ph"] == "X" and event.get("cat") == "job"
+    ]
+
+
 class TestLaneAssignment:
     def test_overlapping_spans_get_distinct_lanes(self):
-        spans = [
-            {"start": 0.0, "end": 2.0},
-            {"start": 1.0, "end": 3.0},  # overlaps the first
-            {"start": 2.5, "end": 4.0},  # fits after the first
-        ]
-        _assign_lanes(spans)
-        assert spans[0]["lane"] == 0
-        assert spans[1]["lane"] == 1
-        assert spans[2]["lane"] == 0
+        telemetry = RunTelemetry(TelemetryConfig(enabled=True))
+        for key, start, end in (
+            ("a", 0.0, 2.0),
+            ("b", 1.0, 3.0),  # overlaps the first
+            ("c", 2.5, 4.0),  # fits after the first
+        ):
+            telemetry.note_executed(key, key, "done", 1, start=start, end=end)
+        lanes = {
+            event["args"]["key"]: event["tid"]
+            for event in _job_slices(_chrome_trace(telemetry))
+        }
+        assert lanes == {"a": 0, "b": 1, "c": 0}
 
 
 def _telemetry_with_jobs():
@@ -88,13 +102,10 @@ def _telemetry_with_jobs():
 
 class TestChromeTrace:
     def test_sweep_lane_and_simulated_processes(self):
-        trace = build_chrome_trace(_telemetry_with_jobs().jobs)
-        events = trace["traceEvents"]
-        sweep_spans = [
-            event
-            for event in events
-            if event["pid"] == SWEEP_PID and event["ph"] == "X"
-        ]
+        telemetry = _telemetry_with_jobs()
+        trace = _chrome_trace(telemetry)
+        sweep_spans = _job_slices(trace)
+        assert {span["pid"] for span in sweep_spans} == {0}
         # Cached jobs never appear as spans; both executed jobs do.
         assert {span["name"] for span in sweep_spans} == {
             "MIX_10/inclusive/qbs",
@@ -103,13 +114,17 @@ class TestChromeTrace:
         qbs = next(s for s in sweep_spans if "qbs" in s["name"])
         assert qbs["ts"] == 0.0
         assert qbs["dur"] == 1.5e6  # seconds rendered as microseconds
+        names = {
+            event["pid"]: event["args"]["name"]
+            for event in trace["traceEvents"]
+            if event["name"] == "process_name"
+        }
+        assert names[0] == f"trace {telemetry.trace_id}"
 
     def test_traced_job_gets_per_core_phase_spans(self):
-        trace = build_chrome_trace(_telemetry_with_jobs().jobs)
+        trace = _chrome_trace(_telemetry_with_jobs())
         job_events = [
-            event
-            for event in trace["traceEvents"]
-            if event["pid"] == JOB_PID_BASE
+            event for event in trace["traceEvents"] if event["pid"] == 1
         ]
         phases = [event for event in job_events if event["ph"] == "X"]
         # Two cores x (warmup + measure).
@@ -119,9 +134,17 @@ class TestChromeTrace:
         )
         assert core1_measure["ts"] == 4_000.0
         assert core1_measure["dur"] == 16_000.0
+        threads = {
+            event["tid"]: event["args"]["name"]
+            for event in job_events
+            if event["name"] == "thread_name"
+        }
+        assert threads == {0: "core 0", 1: "core 1"}
+        # the untraced failed job has no simulated-cycle process
+        assert {event["pid"] for event in trace["traceEvents"]} == {0, 1}
 
     def test_output_validates_against_pinned_schema(self):
-        trace = build_chrome_trace(_telemetry_with_jobs().jobs)
+        trace = _chrome_trace(_telemetry_with_jobs())
         assert check(trace, CHROME_TRACE_SCHEMA) == []
 
     def test_host_phase_sub_spans_nest_inside_the_job_span(self):
@@ -142,11 +165,11 @@ class TestChromeTrace:
                 },
             },
         )
-        trace = build_chrome_trace(telemetry.jobs)
+        trace = _chrome_trace(telemetry)
         host_spans = [
             event
             for event in trace["traceEvents"]
-            if event.get("cat") == "host_phase"
+            if event.get("cat") == "phase" and event["pid"] == 0
         ]
         # Widest phase first, laid back to back from the job start.
         assert [span["name"] for span in host_spans] == [
@@ -156,13 +179,9 @@ class TestChromeTrace:
         assert host_spans[0]["dur"] == 0.6e6
         assert host_spans[1]["ts"] == 2.6e6
         assert host_spans[0]["args"]["count"] == 40_000
-        job_span = next(
-            event
-            for event in trace["traceEvents"]
-            if event.get("cat") == "job"
-        )
+        [job_span] = _job_slices(trace)
         # Same lane as the job, and contained within its span.
-        assert host_spans[0]["tid"] == job_span["tid"]
+        assert {span["tid"] for span in host_spans} == {job_span["tid"]}
         total = sum(span["dur"] for span in host_spans)
         assert total <= job_span["dur"]
         assert check(trace, CHROME_TRACE_SCHEMA) == []
@@ -187,6 +206,11 @@ class TestWriteAndValidate:
         assert executed["events"] == 42
         failed = next(j for j in manifest["jobs"] if j["key"] == "failkey")
         assert failed["error"] == "boom"
+        # the manifest's span ids name the job slices in trace.json
+        trace = json.loads(paths["trace"].read_text())
+        assert {job["span_id"] for job in manifest["jobs"] if "span_id" in job} == {
+            event["args"]["span_id"] for event in _job_slices(trace)
+        }
 
     def test_validate_dir_cli_helper(self, tmp_path):
         telemetry = _telemetry_with_jobs()
