@@ -30,6 +30,7 @@ from ..sanitize.base import HierarchySanitizer, sanitizer_from_config
 from ..telemetry.events import (
     EVENT_INCLUSION_VICTIM,
     EVENT_LLC_EVICT,
+    EVENT_LLC_MISS,
     EVENT_QBS_QUERY,
 )
 from .levels import CoreCaches
@@ -318,9 +319,19 @@ class BaseHierarchy:
 
         Returns HIT_LLC or HIT_MEMORY; must leave the hierarchy in a
         state where filling the core caches with ``line_addr`` is
-        legal for the mode.
+        legal for the mode.  This body serves the inclusive and
+        non-inclusive modes: a hit stays put, a miss fills the LLC
+        (whose eviction side effects are :meth:`_on_llc_eviction`'s).
         """
-        raise NotImplementedError
+        if self.llc.access(line_addr):
+            return HIT_LLC
+        if stats is not None:
+            stats.llc_misses += 1
+        if self.tracer is not None:
+            self.tracer.emit(self.clock, EVENT_LLC_MISS, core=core_id, line=line_addr)
+        self.traffic.record(MessageType.MEMORY_REQUEST)
+        self._fill_llc(core_id, line_addr)
+        return HIT_MEMORY
 
     def _on_llc_eviction(self, evicted: EvictedLine) -> None:
         """Apply mode-specific side effects of an LLC eviction."""

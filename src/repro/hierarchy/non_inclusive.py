@@ -14,12 +14,9 @@ but LLC-absent without inclusion).
 
 from __future__ import annotations
 
-from typing import Optional
-
 from ..cache import EvictedLine
 from ..coherence import MessageType
-from ..telemetry.events import EVENT_LLC_MISS
-from .base import HIT_LLC, HIT_MEMORY, BaseHierarchy, CoreAccessStats
+from .base import BaseHierarchy
 from .levels import CoreCaches
 
 
@@ -27,19 +24,6 @@ class NonInclusiveHierarchy(BaseHierarchy):
     """LLC evictions leave the core caches untouched."""
 
     mode = "non_inclusive"
-
-    def _llc_demand(
-        self, core_id: int, line_addr: int, stats: Optional[CoreAccessStats]
-    ) -> int:
-        if self.llc.access(line_addr):
-            return HIT_LLC
-        if stats is not None:
-            stats.llc_misses += 1
-        if self.tracer is not None:
-            self.tracer.emit(self.clock, EVENT_LLC_MISS, core=core_id, line=line_addr)
-        self.traffic.record(MessageType.MEMORY_REQUEST)
-        self._fill_llc(core_id, line_addr)
-        return HIT_MEMORY
 
     def _on_llc_eviction(self, evicted: EvictedLine) -> None:
         """No back-invalidates; just write back dirty data.

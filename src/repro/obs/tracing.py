@@ -35,7 +35,7 @@ import threading
 import time
 import uuid
 from dataclasses import dataclass, field
-from typing import Any, Dict, IO, List, Optional
+from typing import Any, Dict, IO, List, Optional, Tuple
 
 
 def new_trace_id() -> str:
@@ -285,18 +285,25 @@ class SpanBook:
 def spans_to_chrome_trace(spans: List[Span]) -> Dict[str, Any]:
     """The Chrome ``trace.json`` view of a span list (load in Perfetto).
 
-    Each trace is one process, named by its trace id.  Root spans take
-    non-overlapping thread lanes (greedy, freed lanes are reused) and
-    their wall-clock descendants ride the same lane.  ``cycles`` spans
-    get one process per parent span, numbered after the trace
-    processes that precede it, with one named thread per ``core``
-    attr.  Wall seconds render as µs, and so does one cycle.
+    Each trace is one process, named by its trace id.  Wall spans take
+    thread lanes on which slices nest, because service spans do not (a
+    ``queue`` span outlives ``admission``, two workers' ``execute``
+    spans overlap) and Perfetto mis-draws slices that overlap without
+    nesting.  Visited by start time, longer first on ties, a span
+    joins its parent's lane if it ends no later than the innermost
+    slice still open there; otherwise it takes the lowest lane with no
+    open slice (never one where an unrelated slice would read as its
+    parent), or a new one.  ``cycles`` spans get one process per
+    parent span, numbered after the trace processes that precede it,
+    with one named thread per ``core`` attr.  Wall seconds render as
+    µs, and so does one cycle.
     """
     ids = {span.span_id for span in spans}
     children = span_tree(spans)
     events: List[Dict[str, Any]] = []
     pids: Dict[Any, int] = {}
     threads = set()
+    wall: List[Tuple[int, Span, Dict[str, Any]]] = []  # a parent precedes its children
 
     def process(key: Any, name: str) -> int:
         if key not in pids:
@@ -304,11 +311,12 @@ def spans_to_chrome_trace(spans: List[Span]) -> Dict[str, Any]:
             events.append(_meta("process_name", pids[key], 0, name))
         return pids[key]
 
-    def emit(span: Span, pid: int, tid: int) -> None:
-        events.append(_slice(span, pid, tid))
+    def emit(span: Span, pid: int) -> None:
+        wall.append((pid, span, _slice(span, pid, 0)))
+        events.append(wall[-1][2])
         for child in children.get(span.span_id, ()):
             if child.clock == "wall":
-                emit(child, pid, tid)
+                emit(child, pid)
                 continue
             sim = process(("cycles", span.span_id), f"{span.name} (simulated cycles)")
             core = int(child.attrs.get("core", 0))
@@ -317,15 +325,24 @@ def spans_to_chrome_trace(spans: List[Span]) -> Dict[str, Any]:
                 events.append(_meta("thread_name", sim, core, f"core {core}"))
             events.append(_slice(child, sim, core))
 
-    lane_ends: Dict[int, List[float]] = {}
     for span in sorted(spans, key=lambda span: (span.start, span.span_id)):
-        if span.parent_id in ids:
-            continue
-        pid = process(span.trace_id, f"trace {span.trace_id}")
-        ends = lane_ends.setdefault(pid, [])
-        lane = next((i for i, end in enumerate(ends) if span.start >= end), len(ends))
-        ends[lane:lane + 1] = [span.start + span.duration]  # reuse or open
-        emit(span, pid, lane)
+        if span.parent_id not in ids:
+            emit(span, process(span.trace_id, f"trace {span.trace_id}"))
+    lanes: Dict[str, int] = {}
+    open_ends: Dict[int, List[List[float]]] = {}  # pid -> lane -> slice ends
+    for pid, span, event in sorted(wall, key=lambda w: (w[1].start, -w[1].duration)):
+        stacks = open_ends.setdefault(pid, [])
+        for stack in stacks:
+            while stack and stack[-1] <= span.start:
+                stack.pop()
+        end = span.start + span.duration
+        lane = lanes.get(span.parent_id)
+        if lane is None or (stacks[lane] and end > stacks[lane][-1]):
+            lane = next((i for i, stack in enumerate(stacks) if not stack), len(stacks))
+            if lane == len(stacks):
+                stacks.append([])
+        stacks[lane].append(end)
+        lanes[span.span_id] = event["tid"] = lane
     return {
         "traceEvents": events,
         "displayTimeUnit": "ms",

@@ -17,11 +17,11 @@ as fast as the machine allows:
   append-only JSONL journal of per-job outcomes that survives kills
   mid-write.
 * :mod:`~repro.orchestrate.executor` — the :class:`Executor`
-  protocol (submit/poll/cancel/liveness) and the in-process backends:
-  :class:`SerialExecutor` and :class:`LocalPoolExecutor`.
-* :mod:`~repro.orchestrate.pool` — :class:`WorkerPool`, one process
-  per worker with per-job timeout, kill, respawn and
-  ``max_jobs_per_worker`` recycling.
+  protocol (submit/poll/close/liveness), the event kinds, the
+  in-process :class:`SerialExecutor` and :func:`resolve_executor`.
+* :mod:`~repro.orchestrate.pool` — :class:`WorkerPool`, the ``pool``
+  backend: one process per worker with per-job timeout, kill, respawn
+  and ``max_jobs_per_worker`` recycling.
 * :mod:`~repro.orchestrate.bus` — :class:`BusExecutor` and
   :class:`BusWorker`, a filesystem message bus for distributed sweeps
   with lease/heartbeat crash recovery.
@@ -37,13 +37,7 @@ hands them here.  ``REPRO_JOBS`` / ``--jobs`` select the worker count
 
 from .bus import BusExecutor, BusWorker, FileBus
 from .cache import ResultCache
-from .executor import (
-    EXECUTOR_KINDS,
-    Executor,
-    LocalPoolExecutor,
-    SerialExecutor,
-    resolve_executor,
-)
+from .executor import EXECUTOR_KINDS, Executor, SerialExecutor, resolve_executor
 from .job import CACHE_SCHEMA, RunSummary, SimJob, execute_job, job_key
 from .manifest import (
     STATUS_CANCELLED,
@@ -64,7 +58,6 @@ __all__ = [
     "EXECUTOR_KINDS",
     "Executor",
     "FileBus",
-    "LocalPoolExecutor",
     "ManifestRecord",
     "Orchestrator",
     "ResultCache",

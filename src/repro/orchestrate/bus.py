@@ -66,10 +66,16 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..errors import ExecutorConfigError, OrchestrationError
 from ..telemetry import get_logger
-from .executor import Executor, ExecutorEvent
+from .executor import (
+    EVENT_CRASH,
+    EVENT_ERROR,
+    EVENT_OK,
+    EVENT_TIMEOUT,
+    Executor,
+    ExecutorEvent,
+)
 from .job import execute_job
 from .manifest import STATUS_CLAIMED, STATUS_RECLAIMED, SweepManifest
-from .pool import EVENT_CRASH, EVENT_ERROR, EVENT_OK, EVENT_TIMEOUT
 
 log = get_logger("repro.orchestrate.bus")
 
@@ -267,9 +273,9 @@ class BusExecutor(Executor):
         self._procs: List[subprocess.Popen] = []
         self._seq = 0
         self._closed = False
-        self._respawns = 0
-        self._recycles = 0
-        self._lease_reclaims = 0
+        self.respawns = 0
+        self.recycles = 0
+        self.lease_reclaims = 0
         try:
             for _ in range(self._spawn_target):
                 self._procs.append(self._spawn())
@@ -319,9 +325,9 @@ class BusExecutor(Executor):
             if code is None:
                 continue
             if code == 0 and self._max_jobs is not None:
-                self._recycles += 1
+                self.recycles += 1
             else:
-                self._respawns += 1
+                self.respawns += 1
             self._procs[index] = self._spawn()
 
     def _kill_spawned(self, pid: Optional[int]) -> None:
@@ -430,7 +436,7 @@ class BusExecutor(Executor):
         log.warning(
             "lease_reclaimed", key=key, worker=worker, attempt=state["attempt"]
         )
-        self._lease_reclaims += 1
+        self.lease_reclaims += 1
         self._forget(key)
         return (EVENT_CRASH, key, f"bus worker lease expired ({worker})")
 
@@ -463,14 +469,6 @@ class BusExecutor(Executor):
         _unlink_quietly(lease)
         self._fresh.forget(str(lease))
         self._inflight.pop(key, None)
-
-    def cancel(self, key: str) -> bool:
-        if key not in self._inflight:
-            return False
-        if self.bus.lease_path(key).exists():
-            return False  # already claimed; it will run to completion
-        self._forget(key)
-        return True
 
     def close(self) -> None:
         self._closed = True
@@ -507,18 +505,6 @@ class BusExecutor(Executor):
     @property
     def busy_count(self) -> int:
         return len(self._inflight)
-
-    @property
-    def respawns(self) -> int:
-        return self._respawns
-
-    @property
-    def recycles(self) -> int:
-        return self._recycles
-
-    @property
-    def lease_reclaims(self) -> int:
-        return self._lease_reclaims
 
     def liveness(self) -> Dict[str, Any]:
         data = super().liveness()
@@ -623,7 +609,7 @@ class BusWorker:
             if not self._try_claim(lease):
                 continue
             # The claim only wins if the envelope still exists — the
-            # parent may have cancelled or reclaimed while we raced.
+            # parent may have withdrawn it (reclaim, timeout) while we raced.
             try:
                 envelope = json.loads(path.read_text("utf-8"))
             except (OSError, ValueError):

@@ -1,18 +1,17 @@
 """The executor protocol: one scheduler, pluggable execution backends.
 
-The :class:`~repro.orchestrate.Orchestrator` owns *policy* — dedup,
-retry with backoff, cancellation, failure reporting, manifest and
-cache writes — and delegates *mechanism* to an :class:`Executor`:
-something that accepts ``submit(key, job)``, reports terminal
-``(kind, key, payload)`` events from ``poll()``, and answers liveness
-questions (how many workers, how many busy, how many died).  Three
-backends conform:
+The scheduler's :class:`~repro.orchestrate.scheduler.Dispatcher` owns
+*policy* — retry with backoff, degrade, failure reporting — and
+delegates *mechanism* to an :class:`Executor`: something that accepts
+``submit(key, job)``, reports terminal ``(kind, key, payload)`` events
+from ``poll()``, and answers liveness questions (how many workers, how
+many busy, how many died).  Three backends conform:
 
 * :class:`SerialExecutor` — executes jobs in-process on the calling
   thread; the no-subprocess fallback and the ``jobs=1`` default.
-* :class:`LocalPoolExecutor` — the duplex-pipe
-  :class:`~repro.orchestrate.pool.WorkerPool`, one process per worker
-  with per-job timeout kill and respawn.
+* :class:`~repro.orchestrate.pool.WorkerPool` — one process per
+  worker on this host, each behind its own duplex pipe, with per-job
+  timeout kill and respawn.
 * :class:`~repro.orchestrate.bus.BusExecutor` — a filesystem message
   bus where independent ``python -m repro.orchestrate worker``
   processes (this host or any host sharing the directory) claim jobs
@@ -30,10 +29,14 @@ from __future__ import annotations
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..errors import ExecutorConfigError, OrchestrationError
-from .pool import EVENT_ERROR, EVENT_OK, WorkerPool
+
+#: terminal event kinds every backend's :meth:`Executor.poll` reports.
+EVENT_OK = "ok"
+EVENT_ERROR = "error"
+EVENT_CRASH = "crash"
+EVENT_TIMEOUT = "timeout"
 
 #: one terminal event: (kind, job key, RunSummary or error message).
-#: kinds are the pool's: ``ok``, ``error``, ``crash``, ``timeout``.
 ExecutorEvent = Tuple[str, str, Any]
 
 
@@ -46,6 +49,9 @@ class Executor:
     return every submitted job exactly once as a terminal event —
     retry is the scheduler's job, so a failed/crashed/timed-out job is
     reported, not silently re-run.
+
+    The liveness counters are plain attributes here; a backend that
+    tracks one overrides it with an instance attribute or a property.
     """
 
     #: short backend tag for progress lines, metrics labels and logs.
@@ -54,8 +60,17 @@ class Executor:
     #: the scheduler then charges poll time to ``execute_job`` rather
     #: than ``pool_wait`` in its phase report.
     inline: bool = False
+    #: workers available to this backend (1 for in-process).
+    size: int = 1
+    #: submitted jobs not yet reported by :meth:`poll`.
+    busy_count: int = 0
+    #: unplanned worker deaths (health signal; see MAX_RESPAWNS).
+    respawns: int = 0
+    #: planned worker respawns (``max_jobs_per_worker`` rotation).
+    recycles: int = 0
+    #: jobs reclaimed from expired leases (bus backends only).
+    lease_reclaims: int = 0
 
-    # -- work movement ---------------------------------------------------------
     def submit(
         self,
         key: str,
@@ -72,45 +87,12 @@ class Executor:
     def poll(self, wait: float = 0.05) -> List[ExecutorEvent]:
         raise NotImplementedError
 
-    def cancel(self, key: str) -> bool:
-        """Withdraw a submitted-but-unstarted job; False if too late."""
-        return False
-
     def close(self) -> None:
         pass
 
-    # -- liveness --------------------------------------------------------------
-    @property
-    def size(self) -> int:
-        """Workers available to this backend (1 for in-process)."""
-        return 1
-
-    @property
-    def busy_count(self) -> int:
-        return 0
-
-    @property
-    def idle_count(self) -> int:
-        return max(0, self.size - self.busy_count)
-
     @property
     def has_idle(self) -> bool:
-        return self.idle_count > 0
-
-    @property
-    def respawns(self) -> int:
-        """Unplanned worker deaths (health signal; see MAX_RESPAWNS)."""
-        return 0
-
-    @property
-    def recycles(self) -> int:
-        """Planned worker respawns (``max_jobs_per_worker`` rotation)."""
-        return 0
-
-    @property
-    def lease_reclaims(self) -> int:
-        """Jobs reclaimed from expired leases (bus backends only)."""
-        return 0
+        return self.busy_count < self.size
 
     def liveness(self) -> Dict[str, Any]:
         """One snapshot of backend health for metrics endpoints."""
@@ -164,78 +146,9 @@ class SerialExecutor(Executor):
             return [(EVENT_ERROR, key, f"{type(exc).__name__}: {exc}")]
         return [(EVENT_OK, key, payload)]
 
-    def cancel(self, key: str) -> bool:
-        if self._pending is not None and self._pending[0] == key:
-            self._pending = None
-            return True
-        return False
-
     @property
     def busy_count(self) -> int:
         return 1 if self._pending is not None else 0
-
-
-class LocalPoolExecutor(Executor):
-    """The single-host worker pool behind the executor protocol.
-
-    A thin adapter: :class:`~repro.orchestrate.pool.WorkerPool`
-    already speaks submit/poll/liveness; this class only maps its
-    construction knobs and counters onto the protocol.
-    """
-
-    name = "pool"
-
-    def __init__(
-        self,
-        workers: int,
-        execute: Callable[[Any], Any],
-        timeout: Optional[float] = None,
-        context=None,
-        max_jobs_per_worker: Optional[int] = None,
-        pool_factory: Callable[..., WorkerPool] = WorkerPool,
-    ) -> None:
-        self._pool = pool_factory(
-            workers,
-            execute,
-            timeout=timeout,
-            context=context,
-            max_jobs_per_worker=max_jobs_per_worker,
-        )
-
-    @property
-    def pool(self) -> WorkerPool:
-        return self._pool
-
-    def submit(
-        self,
-        key: str,
-        job: Any,
-        trace_id: Optional[str] = None,
-        label: Optional[str] = None,
-    ) -> None:
-        self._pool.submit(key, job)
-
-    def poll(self, wait: float = 0.05) -> List[ExecutorEvent]:
-        return self._pool.poll(wait)
-
-    def close(self) -> None:
-        self._pool.close()
-
-    @property
-    def size(self) -> int:
-        return self._pool.size
-
-    @property
-    def busy_count(self) -> int:
-        return self._pool.busy_count
-
-    @property
-    def respawns(self) -> int:
-        return self._pool.respawns
-
-    @property
-    def recycles(self) -> int:
-        return self._pool.recycles
 
 
 #: accepted ``--executor`` / ``REPRO_EXECUTOR`` spellings.
@@ -250,10 +163,8 @@ def resolve_executor(
     context=None,
     bus_dir: Optional[str] = None,
     bus_spawn: Optional[int] = None,
-    max_jobs_per_worker: Optional[int] = None,
     cache_dir: Optional[str] = None,
     lease_timeout: Optional[float] = None,
-    pool_factory: Callable[..., WorkerPool] = WorkerPool,
 ) -> Executor:
     """Build an executor from a spec: an instance, a kind name or None.
 
@@ -276,14 +187,9 @@ def resolve_executor(
     if spec == "serial":
         return SerialExecutor(execute)
     if spec == "pool":
-        return LocalPoolExecutor(
-            max(1, jobs),
-            execute,
-            timeout=timeout,
-            context=context,
-            max_jobs_per_worker=max_jobs_per_worker,
-            pool_factory=pool_factory,
-        )
+        from .pool import WorkerPool
+
+        return WorkerPool(max(1, jobs), execute, timeout=timeout, context=context)
     if spec == "bus":
         if not bus_dir:
             raise ExecutorConfigError(
@@ -300,7 +206,6 @@ def resolve_executor(
             execute=execute,
             spawn_workers=jobs if bus_spawn is None else bus_spawn,
             timeout=timeout,
-            max_jobs_per_worker=max_jobs_per_worker,
             cache_dir=cache_dir,
             **kwargs,
         )
@@ -310,12 +215,13 @@ def resolve_executor(
 
 
 __all__ = [
+    "EVENT_CRASH",
     "EVENT_ERROR",
     "EVENT_OK",
+    "EVENT_TIMEOUT",
     "EXECUTOR_KINDS",
     "Executor",
     "ExecutorEvent",
-    "LocalPoolExecutor",
     "SerialExecutor",
     "resolve_executor",
 ]

@@ -55,11 +55,13 @@ class RunSummary:
     #: serialised :class:`~repro.telemetry.IntervalSeries` (telemetry
     #: runs only; ``None`` keeps untraced cache entries byte-identical).
     intervals: Optional[Dict] = None
-    #: compact tracer/runtime digest (telemetry runs only).
+    #: compact tracer digest and per-core phase cycles (telemetry runs
+    #: only); simulated output, so identical for every run of a job.
     telemetry: Optional[Dict] = None
     #: host-performance digest for the execution that produced this
-    #: summary (wall seconds, simulated instructions/s, optional phase
-    #: report).  Per-execution provenance, NOT simulated output: the
+    #: summary (wall and CPU seconds, simulated instructions/s, the
+    #: traced event log's ``events_path``, optional phase report).
+    #: Per-execution provenance, NOT simulated output: the
     #: result cache strips it before writing, so cache replays carry
     #: ``host=None`` and serial/parallel entries stay byte-identical.
     host: Optional[Dict] = None
@@ -210,6 +212,10 @@ def execute_job(job: SimJob) -> RunSummary:
         config, mix.feeds(reference), telemetry=telemetry, phase_timer=timer
     )
     result = simulator.run()
+    # Host-side provenance (timings, where this execution wrote its
+    # event log) goes in ``host``, which the result cache strips, so
+    # two traced runs of one job store identical bytes.
+    host: Dict = dict(result.host or {})
     summary = RunSummary(
         mix=mix.name,
         apps=list(mix.apps),
@@ -237,7 +243,6 @@ def execute_job(job: SimJob) -> RunSummary:
         summary.intervals = result.intervals.to_dict()
     if telemetry is not None:
         digest: Dict = {
-            "cpu_s": time.process_time() - cpu_start,
             "max_cycles": result.max_cycles,
             "core_phases": [
                 {
@@ -258,9 +263,8 @@ def execute_job(job: SimJob) -> RunSummary:
                     Path(job.trace_out) / f"events-{job_key(job)}.jsonl",
                     tracer.events,
                 )
-                digest["events_path"] = str(path)
+                host["events_path"] = str(path)
         summary.telemetry = digest
-    host: Dict = dict(result.host or {})
     host["job_wall_s"] = time.perf_counter() - wall_start
     host["cpu_s"] = time.process_time() - cpu_start
     if timer is not None:

@@ -8,9 +8,11 @@ job is charged with the failure — and lets a worker that dies outright
 (OOM kill, segfault) surface as a retryable ``crash`` event instead of
 hanging the sweep.
 
-The pool never touches the result cache or the manifest; it only moves
-jobs out and ``(key, kind, payload)`` events back.  Policy (retry,
-backoff, dedup, resume) lives in :class:`repro.orchestrate.Orchestrator`.
+The pool is the ``pool`` :class:`~repro.orchestrate.executor.Executor`
+backend.  It never touches the result cache or the manifest; it only
+moves jobs out and ``(kind, key, payload)`` events back.  Policy
+(retry, backoff, degrade) lives in the scheduler's
+:class:`~repro.orchestrate.scheduler.Dispatcher`.
 """
 
 from __future__ import annotations
@@ -18,18 +20,17 @@ from __future__ import annotations
 import multiprocessing
 import time
 from multiprocessing import connection
-from typing import Any, Callable, List, Optional, Tuple
+from typing import Any, Callable, List, Optional
 
 from ..errors import ExecutorConfigError, OrchestrationError
-
-#: event kinds produced by :meth:`WorkerPool.poll`.
-EVENT_OK = "ok"
-EVENT_ERROR = "error"
-EVENT_CRASH = "crash"
-EVENT_TIMEOUT = "timeout"
-
-#: one pool event: (kind, job key, RunSummary or error message).
-PoolEvent = Tuple[str, str, Any]
+from .executor import (
+    EVENT_CRASH,
+    EVENT_ERROR,
+    EVENT_OK,
+    EVENT_TIMEOUT,
+    Executor,
+    ExecutorEvent,
+)
 
 
 def _worker_main(conn, execute: Callable[[Any], Any], parent_end) -> None:
@@ -89,8 +90,10 @@ class _Worker:
         self.conn.close()
 
 
-class WorkerPool:
+class WorkerPool(Executor):
     """A fixed-size pool of job-executing processes."""
+
+    name = "pool"
 
     def __init__(
         self,
@@ -172,21 +175,13 @@ class WorkerPool:
     def busy_count(self) -> int:
         return sum(1 for worker in self._workers if worker.busy)
 
-    @property
-    def idle_count(self) -> int:
-        """Workers ready for :meth:`submit` right now.
-
-        The service broker dispatches exactly this many jobs per
-        scheduling round, so one admission queue multiplexes every
-        client's sweep over the single shared pool.
-        """
-        return sum(1 for worker in self._workers if not worker.busy)
-
-    @property
-    def has_idle(self) -> bool:
-        return any(not worker.busy for worker in self._workers)
-
-    def submit(self, key: str, job: Any) -> None:
+    def submit(
+        self,
+        key: str,
+        job: Any,
+        trace_id: Optional[str] = None,
+        label: Optional[str] = None,
+    ) -> None:
         for worker in self._workers:
             if not worker.busy:
                 try:
@@ -199,14 +194,14 @@ class WorkerPool:
                 return
         raise OrchestrationError("submit() called with no idle worker")
 
-    def poll(self, wait: float = 0.05) -> List[PoolEvent]:
+    def poll(self, wait: float = 0.05) -> List[ExecutorEvent]:
         """Collect finished/failed/crashed/timed-out jobs.
 
         Blocks up to ``wait`` seconds for the first event.  A worker
         whose pipe hits EOF died mid-job (crash event, retryable); a
         worker past the per-job timeout is terminated and respawned.
         """
-        events: List[PoolEvent] = []
+        events: List[ExecutorEvent] = []
         busy = [worker for worker in self._workers if worker.busy]
         if busy:
             ready = connection.wait([worker.conn for worker in busy], wait)

@@ -42,14 +42,8 @@ from ..perf.phase import (
 from ..telemetry import get_logger
 from .cache import ResultCache
 from .job import execute_job, job_key
-from .executor import Executor, SerialExecutor, resolve_executor
-from .manifest import (
-    STATUS_CANCELLED,
-    STATUS_DONE,
-    STATUS_FAILED,
-    SweepManifest,
-)
-from .pool import EVENT_OK, WorkerPool
+from .executor import EVENT_OK, Executor, SerialExecutor, resolve_executor
+from .manifest import STATUS_DONE, STATUS_FAILED, SweepManifest
 
 log = get_logger("repro.orchestrate")
 
@@ -238,7 +232,6 @@ class Orchestrator:
         bus_dir: Optional[str] = None,
         bus_spawn: Optional[int] = None,
         lease_timeout: Optional[float] = None,
-        max_jobs_per_worker: Optional[int] = None,
     ) -> None:
         if retries < 0:
             raise OrchestrationError("retries must be >= 0")
@@ -263,7 +256,6 @@ class Orchestrator:
         #: 0 = rely on externally launched workers).
         self.bus_spawn = bus_spawn
         self.lease_timeout = lease_timeout
-        self.max_jobs_per_worker = max_jobs_per_worker
         #: optional :class:`repro.telemetry.RunTelemetry` collecting
         #: per-job provenance (wall/CPU time, retries, cache hits) for
         #: the Chrome trace and the enriched run manifest.
@@ -279,13 +271,6 @@ class Orchestrator:
         self.trace_ids: Dict[str, str] = {}
         #: key -> final error message of permanently failed jobs (last run).
         self.failures: Dict[str, str] = {}
-        #: key -> reason of jobs cancelled while still queued (last run).
-        self.cancelled: Dict[str, str] = {}
-        #: keys whose *queued* execution should be skipped.  A plain set
-        #: mutated only via :meth:`cancel`; membership tests happen at
-        #: dispatch, so a cancel from another thread takes effect at the
-        #: next dispatch decision (in-flight jobs finish).
-        self._cancel_requested: set = set()
         #: jobs actually executed (not served from cache) in the last
         #: run — the counter service/e2e tests assert dedup against.
         self.executed_count = 0
@@ -335,7 +320,6 @@ class Orchestrator:
                         self.telemetry.note_cached(key, self._label(ordered[key]))
         pending = [(key, job) for key, job in ordered.items() if key not in results]
         self.failures = {}
-        self.cancelled = {}
         self.executed_count = 0
         self._total = len(ordered)
         self._completed = len(results)
@@ -359,37 +343,9 @@ class Orchestrator:
             )
         return results
 
-    def cancel(self, keys) -> None:
-        """Drain ``keys`` from the queue without killing in-flight work.
-
-        Thread-safe (a set update under the GIL): a service thread can
-        cancel while :meth:`run` executes on another.  Only jobs still
-        *queued* are affected — each is skipped at its next dispatch
-        decision and recorded in :attr:`cancelled` (and the manifest)
-        instead of executing; jobs already on a worker run to
-        completion, so their results still land in the shared cache.
-        """
-        self._cancel_requested.update(keys)
-
     def _on_dispatch(self, key: str, job: Any) -> DispatchSpec:
-        if key not in self._cancel_requested:
-            self._started.setdefault(key, self._now())
-            return job, self._trace_id(key), self._label(job)
-        self.cancelled[key] = "cancelled while queued"
-        trace_id = self._trace_id(key)
-        log.info(
-            "job_cancelled", key=key, label=self._label(job), trace_id=trace_id
-        )
-        if self.manifest is not None:
-            self.manifest.record(
-                key,
-                STATUS_CANCELLED,
-                label=self._label(job),
-                category=self._category(job),
-                trace_id=trace_id,
-            )
-        self._report()
-        return None
+        self._started.setdefault(key, self._now())
+        return job, self._trace_id(key), self._label(job)
 
     # -- execution -------------------------------------------------------------
     def _requested_backend(self) -> str:
@@ -400,26 +356,6 @@ class Orchestrator:
             return self.executor
         return "serial" if self.jobs <= 1 else "pool"
 
-    def _make_executor(self) -> Executor:
-        """Build the configured backend for this run.
-
-        ``WorkerPool`` is resolved through this module's global so
-        tests can assert a serial run never constructs one.
-        """
-        return resolve_executor(
-            self.executor,
-            self._workers,
-            self.execute,
-            timeout=self.timeout,
-            context=self.context,
-            bus_dir=self.bus_dir,
-            bus_spawn=self.bus_spawn,
-            max_jobs_per_worker=self.max_jobs_per_worker,
-            cache_dir=getattr(self.cache, "directory", None),
-            lease_timeout=self.lease_timeout,
-            pool_factory=WorkerPool,
-        )
-
     def _run_loop(
         self, pending: Sequence[Tuple[str, Any]], results: Dict[str, Any]
     ) -> None:
@@ -429,7 +365,17 @@ class Orchestrator:
         serial sweep propagates: the manifest already holds every
         completed job, so the re-run resumes instead of re-executing."""
         try:
-            executor = self._make_executor()
+            executor = resolve_executor(
+                self.executor,
+                self._workers,
+                self.execute,
+                timeout=self.timeout,
+                context=self.context,
+                bus_dir=self.bus_dir,
+                bus_spawn=self.bus_spawn,
+                cache_dir=getattr(self.cache, "directory", None),
+                lease_timeout=self.lease_timeout,
+            )
         except ExecutorConfigError:
             # A misconfigured backend (unknown kind, bus with no
             # directory) must fail loudly — degrading would run a sweep

@@ -125,8 +125,6 @@ class RunTelemetry:
             "span_id": job.span_id,
         }
         if telemetry:
-            if "cpu_s" in telemetry:
-                row["cpu_s"] = float(telemetry["cpu_s"])
             if "recorded" in telemetry:
                 row["events"] = int(telemetry["recorded"])
             for core in telemetry.get("core_phases") or []:
@@ -149,7 +147,7 @@ class RunTelemetry:
             # host-performance digest from repro.perf (wall seconds,
             # simulated-work rates, optional phase report).
             row["host"] = host
-            if "cpu_s" not in row and "cpu_s" in host:
+            if "cpu_s" in host:
                 row["cpu_s"] = float(host["cpu_s"])
             self.spans.add_phases(job, host.get("phases") or {})
         if error is not None:

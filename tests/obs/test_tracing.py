@@ -13,6 +13,25 @@ from repro.obs import (
 )
 
 
+def assert_lanes_nest(doc, slack_us=1.0):
+    """Every Chrome thread of ``doc`` holds properly nested slices,
+    up to ``slack_us`` of µs rounding."""
+    lanes = {}
+    for event in doc["traceEvents"]:
+        if event["ph"] == "X":
+            lanes.setdefault((event["pid"], event["tid"]), []).append(event)
+    for lane, slices in lanes.items():
+        open_ends = []
+        for event in sorted(slices, key=lambda e: (e["ts"], -e["dur"])):
+            while open_ends and open_ends[-1] <= event["ts"] + slack_us:
+                open_ends.pop()
+            end = event["ts"] + event["dur"]
+            assert not open_ends or end <= open_ends[-1] + slack_us, (
+                f"{event['name']} overlaps an open slice on lane {lane}"
+            )
+            open_ends.append(end)
+
+
 class FakeClock:
     def __init__(self):
         self.t = 100.0
@@ -190,3 +209,41 @@ class TestExports:
         assert parent_slice["dur"] == 2e6
         # the child rides its parent's process and lane
         assert {(e["pid"], e["tid"]) for e in slices} == {(0, 0)}
+
+    def test_two_worker_sweep_nests_on_every_lane(self):
+        """A service sweep's tree does not nest by time: both queue
+        spans outlive admission, one outlives ingress, and the two
+        workers' execute spans overlap.  Each lane must still nest,
+        with every execute's phases on its lane."""
+        book = SpanBook()
+        trace = new_trace_id()
+        ingress = book.add("ingress", trace, 0.0, 6.0, kind="server")
+        admission = book.add(
+            "admission", trace, 0.2, 0.8, parent_id=ingress.span_id
+        )
+        executes = []
+        for dispatched, done in ((1.0, 5.0), (3.0, 8.0)):
+            queue = book.add(
+                "queue", trace, 0.7, dispatched, parent_id=admission.span_id
+            )
+            execute = book.add(
+                "execute", trace, dispatched, done, parent_id=queue.span_id
+            )
+            book.add_phases(
+                execute,
+                {"sim_loop": {"s": 2.0, "count": 1}, "execute_job": {"s": 1.0}},
+            )
+            executes.append(execute)
+        doc = spans_to_chrome_trace(book.snapshot())
+        assert_lanes_nest(doc)
+        slices = [e for e in doc["traceEvents"] if e["ph"] == "X"]
+        assert {e["pid"] for e in slices} == {0}
+        lane = {e["args"]["span_id"]: e["tid"] for e in slices}
+        assert lane[executes[0].span_id] != lane[executes[1].span_id]
+        for execute in executes:
+            phases = [
+                e["tid"]
+                for e in slices
+                if e["args"].get("parent_id") == execute.span_id
+            ]
+            assert phases == [lane[execute.span_id]] * 2

@@ -1,62 +1,10 @@
-"""Orchestrator cancellation and atomic cache publication."""
+"""Atomic cache publication."""
 
 import json
 
-from repro.orchestrate import (
-    STATUS_CANCELLED,
-    Orchestrator,
-    ResultCache,
-    SweepManifest,
-)
+from repro.orchestrate import ResultCache
 
-from .test_scheduler import echo_execute, fake_summary
-
-
-class TestCancel:
-    def test_cancelled_jobs_skip_execution(self):
-        calls = []
-
-        def counting(job):
-            calls.append(job)
-            return fake_summary(job)
-
-        orchestrator = Orchestrator(jobs=1, execute=counting, key_fn=str)
-        orchestrator.cancel(["b"])
-        results = orchestrator.run(["a", "b", "c"], raise_on_failure=False)
-        assert calls == ["a", "c"]
-        assert set(results) == {"a", "c"}
-        assert set(orchestrator.cancelled) == {"b"}
-        assert not orchestrator.failures
-
-    def test_cancel_recorded_in_manifest(self, tmp_path):
-        manifest = SweepManifest(tmp_path / "manifest.jsonl")
-        orchestrator = Orchestrator(
-            jobs=1, execute=echo_execute, key_fn=str, manifest=manifest
-        )
-        orchestrator.cancel(["x"])
-        orchestrator.run(["x", "y"], raise_on_failure=False)
-        statuses = {
-            entry["key"]: entry["status"]
-            for entry in (
-                json.loads(line)
-                for line in (tmp_path / "manifest.jsonl")
-                .read_text()
-                .splitlines()
-            )
-        }
-        assert statuses["x"] == STATUS_CANCELLED
-        assert statuses["y"] == "done"
-
-    def test_cancel_resets_between_runs(self):
-        orchestrator = Orchestrator(jobs=1, execute=echo_execute, key_fn=str)
-        orchestrator.cancel(["a"])
-        orchestrator.run(["a"], raise_on_failure=False)
-        assert set(orchestrator.cancelled) == {"a"}
-        # the request is consumed per-run state, not a permanent ban
-        orchestrator._cancel_requested.clear()
-        results = orchestrator.run(["a"], raise_on_failure=False)
-        assert set(results) == {"a"}
-        assert not orchestrator.cancelled
+from .test_scheduler import fake_summary
 
 
 class TestAtomicStore:

@@ -32,6 +32,7 @@ from repro.orchestrate import (
     ResultCache,
     SimJob,
     SweepManifest,
+    WorkerPool,
 )
 from repro.orchestrate.bus import (
     BusWorker,
@@ -40,7 +41,7 @@ from repro.orchestrate.bus import (
     resolve_execute_ref,
 )
 from repro.orchestrate.executor import (
-    LocalPoolExecutor,
+    Executor,
     SerialExecutor,
     resolve_executor,
 )
@@ -75,7 +76,7 @@ def build_executor(backend, tmp_path, workers=2, spawn_workers=None, **kwargs):
     if backend == "serial":
         return SerialExecutor(scripted_execute)
     if backend == "pool":
-        return LocalPoolExecutor(workers, scripted_execute, **kwargs)
+        return WorkerPool(workers, scripted_execute, **kwargs)
     return BusExecutor(
         tmp_path / "bus",
         execute=scripted_execute,
@@ -177,30 +178,6 @@ class TestConformance:
         finally:
             executor.close()
 
-    def test_cancel_contract(self, backend, tmp_path):
-        """``cancel() == True`` means no event will ever arrive;
-        ``False`` means the job was already running and completes."""
-        executor = build_executor(
-            backend, tmp_path, workers=1, spawn_workers=0
-        )
-        try:
-            job = f"ok:{tmp_path}:cancelme"
-            key = _slug(job)
-            executor.submit(key, job)
-            withdrawn = executor.cancel(key)
-            if withdrawn:
-                for _ in range(5):
-                    assert executor.poll(0.01) == []
-                assert attempt_count(tmp_path, job) == 0
-            else:
-                [(kind, seen, _)] = drain(executor, 1)
-                assert (kind, seen) == (EVENT_OK, key)
-            # the pool hands jobs to a worker at submit, so it alone
-            # can never withdraw; serial and an unclaimed bus spool can.
-            assert withdrawn == (backend != "pool")
-        finally:
-            executor.close()
-
 
 class TestByteIdenticalCache:
     def test_all_backends_produce_identical_cache_entries(self, tmp_path):
@@ -239,9 +216,7 @@ class TestByteIdenticalCache:
 
 class TestRecycling:
     def test_pool_worker_recycled_after_max_jobs(self, tmp_path):
-        executor = LocalPoolExecutor(
-            1, scripted_execute, max_jobs_per_worker=2
-        )
+        executor = WorkerPool(1, scripted_execute, max_jobs_per_worker=2)
         try:
             for index in range(5):
                 job = f"ok:{tmp_path}:r{index}"
@@ -446,7 +421,8 @@ class TestResolveExecutor:
         assert isinstance(serial, SerialExecutor)
         pool = resolve_executor(None, 2, scripted_execute)
         try:
-            assert isinstance(pool, LocalPoolExecutor)
+            assert isinstance(pool, WorkerPool)
+            assert isinstance(pool, Executor) and pool.name == "pool"
         finally:
             pool.close()
 

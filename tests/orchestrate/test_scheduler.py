@@ -233,12 +233,12 @@ class TestSerialFallback:
         assert [event["requeued"] for event in events] == [2]
 
     def test_jobs_one_never_spawns(self, monkeypatch):
-        import repro.orchestrate.scheduler as scheduler_module
+        import repro.orchestrate.pool as pool_module
 
         def forbid(*args, **kwargs):
             raise AssertionError("WorkerPool must not be built for jobs=1")
 
-        monkeypatch.setattr(scheduler_module, "WorkerPool", forbid)
+        monkeypatch.setattr(pool_module, "WorkerPool", forbid)
         orchestrator = Orchestrator(jobs=1, execute=echo_execute, key_fn=str)
         assert set(orchestrator.run(["x"])) == {"x"}
 

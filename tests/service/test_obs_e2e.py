@@ -29,6 +29,7 @@ from repro.telemetry.schema import (
     check,
 )
 
+from ..obs.test_tracing import assert_lanes_nest
 from .test_broker import fake_summary, make_job
 
 
@@ -231,7 +232,8 @@ class TestTracePropagation:
 class TestOneTimeline:
     def test_one_trace_id_opens_one_timeline(self, tmp_path):
         """A sweep's spans render through the one Chrome-trace writer
-        as one process and one lane, from ingress to the host phases."""
+        as one process whose lanes nest, from ingress to the host
+        phases, which share their execute span's lane."""
         with LiveService(tmp_path) as service:
             _, body, _ = service.request(
                 "POST", "/v1/sweeps", job_body(tiny_job())
@@ -252,10 +254,12 @@ class TestOneTimeline:
         chain = ["ingress", "admission", "queue", "execute"]
         phases = [e for e in slices if e["cat"] == "phase"]
         assert {"sim_loop", "execute_job"} <= {e["name"] for e in phases}
-        lanes = {(e["pid"], e["tid"]) for e in phases}
-        lanes |= {(by_name[n]["pid"], by_name[n]["tid"]) for n in chain}
-        assert lanes == {(0, 0)}
+        assert set(chain) <= set(by_name)
+        assert_lanes_nest(doc)
         execute = by_name["execute"]
+        assert {(e["pid"], e["tid"]) for e in phases} == {
+            (execute["pid"], execute["tid"])
+        }
         for phase in phases:
             assert phase["args"]["parent_id"] == execute["args"]["span_id"]
             assert phase["ts"] >= execute["ts"]

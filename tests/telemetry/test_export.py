@@ -78,7 +78,6 @@ def _telemetry_with_jobs():
         start=0.0,
         end=1.5,
         telemetry={
-            "cpu_s": 1.2,
             "recorded": 42,
             "counts": {"qbs_query": 42},
             "max_cycles": 20_000.0,
@@ -87,6 +86,7 @@ def _telemetry_with_jobs():
                 {"core": 1, "warmup_cycles": 4_000.0, "quota_cycles": 20_000.0},
             ],
         },
+        host={"cpu_s": 1.2},
     )
     telemetry.note_executed(
         "failkey",

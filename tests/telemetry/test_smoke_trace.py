@@ -9,6 +9,7 @@ the cache identity and cache bytes of untraced runs.
 
 import dataclasses
 import json
+from pathlib import Path
 
 import pytest
 
@@ -80,13 +81,13 @@ class TestTracedArtefacts:
     def test_events_jsonl_written_and_schema_valid(self, traced, trace_dir):
         job, summary = traced
         path = trace_dir / f"events-{job_key(job)}.jsonl"
-        assert str(path) == summary.telemetry["events_path"]
+        assert str(path) == summary.host["events_path"]
         assert path.exists()
         assert validate_events_jsonl(path) == []
 
     def test_event_cycles_are_simulated_time(self, traced):
         _, summary = traced
-        path = summary.telemetry["events_path"]
+        path = summary.host["events_path"]
         with open(path, encoding="utf-8") as handle:
             cycles = [json.loads(line)["cycle"] for line in handle]
         assert cycles
@@ -151,3 +152,22 @@ class TestCacheIdentity:
         data = json.loads(cache.path_for(job_key(job)).read_text())
         assert "intervals" not in data
         assert "telemetry" not in data
+
+    def test_traced_reruns_store_identical_bytes(self, traced, tmp_path):
+        """CPU time and the event log's path are host provenance, not
+        simulated output: a second traced run of the job, logging
+        elsewhere, stores the same bytes under the same key."""
+        job, first = traced
+        rerun = dataclasses.replace(job, trace_out=str(tmp_path / "elsewhere"))
+        assert job_key(rerun) == job_key(job)
+        second = execute_job(rerun)
+        entries = []
+        for name, summary in (("one", first), ("two", second)):
+            cache = ResultCache(str(tmp_path / name))
+            cache.store(job_key(job), summary)
+            entries.append(cache.path_for(job_key(job)).read_bytes())
+        assert entries[0] == entries[1]
+        for run, summary in ((job, first), (rerun, second)):
+            path = Path(run.trace_out) / f"events-{job_key(job)}.jsonl"
+            assert summary.host["events_path"] == str(path)
+            assert path.exists()
