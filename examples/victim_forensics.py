@@ -3,11 +3,11 @@
 
 The paper's central claim is that the inclusive/non-inclusive gap is
 explained by inclusion victims whose lines bounce straight back from
-memory.  This script attaches the analysis observers to a live run of
-MIX_10 and separates the victims into *harmful* (re-fetched — each one
-cost a memory round trip) and *dead* (never seen again — their
-eviction was free), then shows where in the LLC the pressure that
-created them came from.
+memory.  This script records the LLC and inclusion trace events of a
+run of MIX_10, replays them into the analyzers and separates the
+victims into *harmful* (re-fetched — each one cost a memory round
+trip) and *dead* (never seen again — their eviction was free), then
+shows where in the LLC the pressure that created them came from.
 
 Run:  python examples/victim_forensics.py
 """
@@ -16,6 +16,7 @@ from repro import CMPSimulator, SimConfig, baseline_hierarchy
 from repro.analysis import SetPressureProfiler, VictimReuseAnalyzer
 from repro.hierarchy import build_hierarchy
 from repro.metrics import format_table
+from repro.telemetry import Tracer
 from repro.workloads import mix_by_name
 
 SCALE = 0.0625
@@ -31,14 +32,19 @@ def main() -> None:
         warmup_instructions=WARMUP,
     )
     hierarchy = build_hierarchy(config.hierarchy)
-    analyzer = VictimReuseAnalyzer()
-    profiler = SetPressureProfiler(hierarchy.llc)
-    hierarchy.add_observer(analyzer)
-    hierarchy.add_observer(profiler)
+    tracer = Tracer(categories=("llc", "inclusion"))
+    hierarchy.tracer = tracer
 
-    print("Simulating MIX_10 (libquantum + sjeng) with observers attached...")
+    print("Simulating MIX_10 (libquantum + sjeng) with the tracer attached...")
     reference = baseline_hierarchy(2, scale=SCALE)
     CMPSimulator(config, mix.traces(reference), hierarchy=hierarchy).run()
+    # The analyzers need every fill, eviction and victim event.
+    assert tracer.dropped == tracer.sampled_out == 0
+    analyzer = VictimReuseAnalyzer()
+    profiler = SetPressureProfiler(hierarchy.llc)
+    for event in tracer.events:
+        analyzer.emit(*event)
+        profiler.emit(*event)
     analyzer.finalize()
 
     summary = analyzer.summary()

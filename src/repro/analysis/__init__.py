@@ -1,8 +1,10 @@
 """Post-run analysis utilities.
 
-Observers that attach to a hierarchy
-(:meth:`repro.hierarchy.BaseHierarchy.add_observer`) and characterise
-*why* it behaves as it does:
+Trace-event sinks that characterise *why* a hierarchy behaves as it
+does.  Each has :meth:`repro.telemetry.Tracer.emit`'s signature, so it
+attaches live in the tracer's slot (``hierarchy.tracer = analyzer``)
+or replays a recorded log (``for event in tracer.events:
+analyzer.emit(*event)``):
 
 * :class:`VictimReuseAnalyzer` — tracks every inclusion victim and
   whether (and how soon) its line was re-fetched, separating the

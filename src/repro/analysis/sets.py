@@ -9,25 +9,41 @@ workloads.
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict, List, Optional
 
 from ..cache import Cache
+from ..telemetry.events import EVENT_LLC_EVICT
+from .victims import LLC_FILL_EVENTS
 
 
 class SetPressureProfiler:
-    """Observer counting LLC fill/eviction pressure per set."""
+    """Trace-event sink counting LLC fill/eviction pressure per set.
+
+    Attached and replayed like :class:`~repro.analysis.VictimReuseAnalyzer`.
+    Fills are the ``llc_miss`` and ``victim_cache_rescue`` events and
+    evictions the ``llc_evict`` events.  On an exclusive LLC, misses
+    do not fill the LLC (lines enter it as core-cache victims, which
+    emit no event), so there the fill counts are LLC miss counts.
+    """
 
     def __init__(self, llc: Cache) -> None:
         self._llc = llc
         self.fills_per_set: List[int] = [0] * llc.num_sets
         self.evictions_per_set: List[int] = [0] * llc.num_sets
 
-    # -- hierarchy observer hooks ---------------------------------------------
-    def on_llc_fill(self, line_addr: int) -> None:
-        self.fills_per_set[self._llc.set_index_of(line_addr)] += 1
-
-    def on_llc_eviction(self, line_addr: int, dirty: bool) -> None:
-        self.evictions_per_set[self._llc.set_index_of(line_addr)] += 1
+    def emit(
+        self,
+        cycle: float,
+        event: str,
+        core: int = -1,
+        line: int = -1,
+        extra: Optional[dict] = None,
+    ) -> None:
+        """Consume one trace event (``Tracer.emit``'s signature)."""
+        if event in LLC_FILL_EVENTS:
+            self.fills_per_set[self._llc.set_index_of(line)] += 1
+        elif event == EVENT_LLC_EVICT:
+            self.evictions_per_set[self._llc.set_index_of(line)] += 1
 
     # -- results ------------------------------------------------------------------
     @property

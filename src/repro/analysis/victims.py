@@ -15,6 +15,15 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
+from ..telemetry.events import (
+    EVENT_INCLUSION_VICTIM,
+    EVENT_LLC_MISS,
+    EVENT_VCACHE_RESCUE,
+)
+
+#: the trace events that precede every ``BaseHierarchy._fill_llc``.
+LLC_FILL_EVENTS = frozenset((EVENT_LLC_MISS, EVENT_VCACHE_RESCUE))
+
 
 @dataclass(frozen=True)
 class VictimRecord:
@@ -38,9 +47,12 @@ class VictimRecord:
 
 
 class VictimReuseAnalyzer:
-    """Observer separating harmful from harmless inclusion victims.
+    """Trace-event sink separating harmful from harmless inclusion victims.
 
-    Attach with ``hierarchy.add_observer(analyzer)`` *before* running.
+    Attach live as ``hierarchy.tracer = analyzer`` *before* running, or
+    replay a complete recorded log (one with the ``llc`` and
+    ``inclusion`` categories, nothing dropped or sampled out):
+    ``for event in tracer.events: analyzer.emit(*event)``.
     """
 
     def __init__(self) -> None:
@@ -48,30 +60,34 @@ class VictimReuseAnalyzer:
         self._pending: Dict[int, List[VictimRecord]] = {}
         self.records: List[VictimRecord] = []
 
-    # -- hierarchy observer hooks --------------------------------------------
-    def on_llc_fill(self, line_addr: int) -> None:
-        self._fill_clock += 1
-        waiting = self._pending.pop(line_addr, None)
-        if not waiting:
-            return
-        for record in waiting:
-            self.records.append(
-                VictimRecord(
-                    line_addr=record.line_addr,
-                    core_id=record.core_id,
-                    victimised_at_fill=record.victimised_at_fill,
-                    refetched_at_fill=self._fill_clock,
+    def emit(
+        self,
+        cycle: float,
+        event: str,
+        core: int = -1,
+        line: int = -1,
+        extra: Optional[dict] = None,
+    ) -> None:
+        """Consume one trace event (``Tracer.emit``'s signature)."""
+        if event in LLC_FILL_EVENTS:
+            self._fill_clock += 1
+            for record in self._pending.pop(line, ()):
+                self.records.append(
+                    VictimRecord(
+                        line_addr=record.line_addr,
+                        core_id=record.core_id,
+                        victimised_at_fill=record.victimised_at_fill,
+                        refetched_at_fill=self._fill_clock,
+                    )
                 )
+        elif event == EVENT_INCLUSION_VICTIM:
+            record = VictimRecord(
+                line_addr=line,
+                core_id=core,
+                victimised_at_fill=self._fill_clock,
+                refetched_at_fill=None,
             )
-
-    def on_inclusion_victim(self, core_id: int, line_addr: int) -> None:
-        record = VictimRecord(
-            line_addr=line_addr,
-            core_id=core_id,
-            victimised_at_fill=self._fill_clock,
-            refetched_at_fill=None,
-        )
-        self._pending.setdefault(line_addr, []).append(record)
+            self._pending.setdefault(line, []).append(record)
 
     # -- results -----------------------------------------------------------------
     def finalize(self) -> None:

@@ -226,13 +226,6 @@ class SanitizeConfig:
     :class:`~repro.errors.SanitizerError` on the first violating scan;
     ``fail_fast=False`` collects violations for a post-run report.
 
-    ``eci_window`` is the allowlist window for *intentional* core-cache
-    invalidations (ECI and modified QBS): a line the hierarchy announced
-    it is early-invalidating stays exempt from the inclusion check for
-    that many accesses, modelling an invalidate message still in flight.
-    ``0`` keeps the check fully strict (correct for the current atomic
-    simulator; a decoupled/async hierarchy needs a nonzero window).
-
     ``checkers`` selects checkers by registry name
     (:data:`repro.sanitize.CHECKERS`); empty means every checker that
     applies to the hierarchy mode.
@@ -245,14 +238,11 @@ class SanitizeConfig:
     enabled: bool = False
     interval: int = 64
     fail_fast: bool = True
-    eci_window: int = 0
     checkers: Tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
         if self.interval <= 0:
             raise ConfigurationError("sanitize interval must be positive")
-        if self.eci_window < 0:
-            raise ConfigurationError("eci_window must be non-negative")
 
 
 @dataclass(frozen=True)

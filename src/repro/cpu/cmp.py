@@ -115,12 +115,14 @@ class CMPSimulator:
             SimulatedCore(core_id, trace, self.hierarchy, config, self.mshr)
             for core_id, trace in enumerate(traces)
         ]
-        # Telemetry session: a tracer on the hierarchy/MSHR hook sites
-        # (event tracing) and an interval collector the cores tick
-        # (time series).  Inactive telemetry installs nothing, so the
-        # cores stay on their bare loops.
+        # Probes attach to the hierarchy, one slot per kind: a tracer
+        # on the hierarchy/MSHR hook sites (event tracing), an interval
+        # collector the cores tick (time series) and a host phase timer
+        # (trace_gen / l1_access / llc_access / ...).  Inactive
+        # telemetry and a disabled (or absent) timer install nothing,
+        # so the cores stay on their bare loops; attaching never
+        # changes simulated statistics.
         self.tracer: Optional[Tracer] = None
-        self._collector: Optional[IntervalCollector] = None
         if telemetry is not None and telemetry.active:
             if telemetry.enabled:
                 self.tracer = Tracer(
@@ -130,21 +132,12 @@ class CMPSimulator:
                 )
                 self.hierarchy.tracer = self.tracer
                 self.mshr.tracer = self.tracer
-            self._collector = IntervalCollector(
+            self.hierarchy.collector = IntervalCollector(
                 self.hierarchy, telemetry.effective_interval
             )
-            for core in self.cores:
-                core.attach_collector(self._collector)
-        # Host-side phase timer: attributes the simulator's own wall
-        # time to phases (trace_gen / l1_access / llc_access / ...).
-        # A disabled (or absent) timer installs nothing, so the demand
-        # path keeps its ``is None`` fast branch; attaching never
-        # changes simulated statistics.
         self.phase_timer: Optional[PhaseTimer] = phase_timer
         if phase_timer is not None and phase_timer.enabled:
             self.hierarchy.phase_timer = phase_timer
-            for core in self.cores:
-                core.attach_phase_timer(phase_timer)
 
     def run(self, check_invariants_every: int = 0) -> SimResult:
         """Run until every core completes its quota; returns results.
@@ -261,8 +254,8 @@ class CMPSimulator:
             )
         max_cycles = max(result.cycles for result in core_results)
         intervals: Optional[IntervalSeries] = None
-        if self._collector is not None:
-            intervals = self._collector.finalize(max_cycles)
+        if self.hierarchy.collector is not None:
+            intervals = self.hierarchy.collector.finalize(max_cycles)
         return SimResult(
             config=self.config,
             cores=core_results,

@@ -55,19 +55,6 @@ class SimulatedCore:
         self.cycles_at_quota: Optional[float] = None
         self._exhausted = False
         self._quota_end = self.warmup + self.quota
-        #: interval collector hook and host phase-timer hook; either
-        #: one moves the core onto its probed loop (None, the default,
-        #: keeps it on the bare loop).
-        self._collector = None
-        self._phase_timer = None
-
-    def attach_collector(self, collector) -> None:
-        """Install the telemetry hook (advances the hierarchy clock)."""
-        self._collector = collector
-
-    def attach_phase_timer(self, timer) -> None:
-        """Install the host phase timer (wraps the trace draw)."""
-        self._phase_timer = timer
 
     @property
     def instructions(self) -> int:
@@ -111,8 +98,8 @@ class SimulatedCore:
     ) -> Generator[Tuple[int, bool, bool], bool, None]:
         """The core's resumable loop: bare, or probed if a probe is attached.
 
-        Probes are a sanitizer, an interval collector, a prefetcher, a
-        phase timer (on this core or the hierarchy), or subclassed
+        Probes are the hierarchy's sanitizer, interval collector and
+        phase timer, this core's prefetcher, or subclassed
         hierarchy/L1 ``access`` methods; with none of them the core
         runs :meth:`_bare_loop`, otherwise :meth:`_probed_loop`.  This
         is the only place the choice is made.  Returns a primed
@@ -135,11 +122,10 @@ class SimulatedCore:
         hierarchy = self.hierarchy
         core = hierarchy.cores[self.core_id]
         if (
-            self._collector is None
-            and self.prefetcher is None
-            and self._phase_timer is None
-            and hierarchy.sanitizer is None
+            hierarchy.sanitizer is None
+            and hierarchy.collector is None
             and hierarchy.phase_timer is None
+            and self.prefetcher is None
             and type(hierarchy).access is BaseHierarchy.access
             and type(core.l1i).access is Cache.access
             and type(core.l1d).access is Cache.access
@@ -266,8 +252,8 @@ class SimulatedCore:
 
         Every record goes through ``BaseHierarchy.access``, which runs
         the sanitizer, the hierarchy's phase brackets and the TLA hit
-        hook; this loop adds the core-side probes: the ``trace_gen``
-        bracket around each trace draw, the interval collector's tick
+        hook; this loop adds the hierarchy timer's ``trace_gen``
+        bracket around each trace draw, the hierarchy collector's tick
         and the prefetcher.  Counts live on the timing model, so the
         loop needs no flushing between bursts.
         """
@@ -277,8 +263,8 @@ class SimulatedCore:
         access = hierarchy.access
         advance = timing.advance
         step_account = timing.step_account
-        timer = self._phase_timer
-        collector = self._collector
+        timer = hierarchy.phase_timer
+        collector = hierarchy.collector
         prefetcher = self.prefetcher
         core_id = self.core_id
         warmup = self.warmup

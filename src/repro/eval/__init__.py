@@ -16,17 +16,11 @@ simulation**.  Four layers:
   per-workload-category slices, plus interval-series overlays;
 * :mod:`~repro.eval.report` — assembly into byte-deterministic
   markdown + JSON report pairs (``python -m repro.eval report``), and
-  :mod:`~repro.eval.longitudinal` for bench-file and cache-digest
-  diffs between repo states.
+  :mod:`~repro.eval.longitudinal` for cache-digest diffs between repo
+  states.
 """
 
-from .longitudinal import (
-    cache_digests,
-    diff_benches,
-    diff_digests,
-    load_bench,
-    render_longitudinal,
-)
+from .longitudinal import cache_digests, diff_digests, render_longitudinal
 from .pairing import (
     BASELINE_POLICY,
     Pair,
@@ -97,14 +91,12 @@ __all__ = [
     "build_report",
     "cache_digests",
     "derive_seed",
-    "diff_benches",
     "diff_digests",
     "discover_records",
     "geomean",
     "geomean_ratio",
     "holm_correction",
     "interval_overlay",
-    "load_bench",
     "metric_values",
     "pair_records",
     "paired_deltas",

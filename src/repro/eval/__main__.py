@@ -11,9 +11,9 @@ Four subcommands, all read-only over existing artefacts:
   baseline, written as ``eval-report.json`` + ``eval-report.md``
   (byte-identical on regeneration; see :mod:`repro.eval.report`).
 * ``longitudinal`` — diff two repo states: two ``BENCH_*.json`` files
-  (tolerant throughput comparison) or two cache directories (exact
-  golden digest comparison), dispatched on whether the operands are
-  directories.
+  (``repro.perf``'s tolerant throughput comparison) or two cache
+  directories (exact golden digest comparison), dispatched on whether
+  the operands are directories.
 
 Nothing here ever starts a simulation: a missing (workload, policy)
 cell is reported, not filled in.
@@ -26,14 +26,9 @@ import sys
 from pathlib import Path
 
 from ..errors import ReproError
+from ..perf.compare import compare_benches
 from ..telemetry import get_logger
-from .longitudinal import (
-    cache_digests,
-    diff_benches,
-    diff_digests,
-    load_bench,
-    render_longitudinal,
-)
+from .longitudinal import cache_digests, diff_digests, render_longitudinal
 from .pairing import (
     BASELINE_POLICY,
     available_policies,
@@ -165,9 +160,11 @@ def cmd_longitudinal(args) -> int:
         diff = diff_digests(cache_digests(old), cache_digests(new))
         print(render_longitudinal(diff), end="")
         return 1 if diff["changed"] else 0
-    diff = diff_benches(load_bench(old), load_bench(new), args.tolerance)
-    print(render_longitudinal(diff), end="")
-    return 1 if diff["regressions"] else 0
+    from ..perf.bench import load_bench  # late: pulls in the simulator
+
+    comparison = compare_benches(load_bench(old), load_bench(new), args.tolerance)
+    print(comparison.render())
+    return 0 if comparison.ok else 1
 
 
 def main(argv=None) -> int:
@@ -220,7 +217,8 @@ def main(argv=None) -> int:
         "--tolerance",
         type=float,
         default=0.10,
-        help="relative bench regression threshold (default %(default)s)",
+        help="bench regression threshold: fail when a scenario is more "
+        "than this fraction slower, old/new > 1 + F (default %(default)s)",
     )
     longitudinal.set_defaults(func=cmd_longitudinal)
 

@@ -2,86 +2,25 @@
 
 The A/B report compares policies at one point in time.  This module
 answers the orthogonal question — has the codebase itself drifted
-between two states — from two artefact families the repo already
-maintains:
+between two states — from result-cache entries, which are *exact*:
+the simulator is deterministic, so the content digest of a cache file
+is a golden value.  Any changed digest for the same job key means
+simulated behaviour changed and calibrated experiments need
+re-baselining — the same tripwire ``tests/test_regression_golden.py``
+pins for one configuration, generalised to every cached run.
 
-* ``BENCH_*.json`` host-performance baselines (the ``repro.perf``
-  harness output): scenario throughput is compared best-run against
-  best-run, with a relative tolerance because host numbers are noisy
-  by nature.
-* result-cache entries, which are *exact*: the simulator is
-  deterministic, so the content digest of a cache file is a golden
-  value.  Any changed digest for the same job key means simulated
-  behaviour changed and calibrated experiments need re-baselining —
-  the same tripwire ``tests/test_regression_golden.py`` pins for one
-  configuration, generalised to every cached run.
+``python -m repro.eval longitudinal`` also diffs two ``BENCH_*.json``
+host-performance baselines; it hands those to ``repro.perf``'s loader
+and comparator, the ones ``python -m repro.perf compare`` runs.
 """
 
 from __future__ import annotations
 
 import hashlib
-import json
 from pathlib import Path
-from typing import Dict, List, Union
+from typing import Dict, Union
 
 from ..errors import EvalError
-
-#: relative throughput drop treated as a regression in bench diffs —
-#: host benchmarks jitter run-to-run, so this is deliberately loose;
-#: the exact tripwire is the digest diff, not the bench diff.
-DEFAULT_BENCH_TOLERANCE = 0.10
-
-
-def load_bench(path: Union[str, Path]) -> Dict:
-    """One ``BENCH_*.json`` document, scenario list checked."""
-    path = Path(path)
-    try:
-        data = json.loads(path.read_text())
-    except (OSError, ValueError) as error:
-        raise EvalError(f"unreadable bench file {path}: {error}")
-    if not isinstance(data, dict) or "scenarios" not in data:
-        raise EvalError(f"{path} is not a bench document (no 'scenarios')")
-    return data
-
-
-def diff_benches(
-    old: Dict, new: Dict, tolerance: float = DEFAULT_BENCH_TOLERANCE
-) -> Dict:
-    """Scenario-by-scenario throughput comparison of two bench files.
-
-    ``ratio`` is new/old best-run throughput; a scenario regresses when
-    the ratio falls below ``1 - tolerance``.  Scenarios present on only
-    one side are listed, never silently dropped.
-    """
-    old_by_name = {s["name"]: s for s in old.get("scenarios", [])}
-    new_by_name = {s["name"]: s for s in new.get("scenarios", [])}
-    rows: List[Dict] = []
-    for name in sorted(set(old_by_name) & set(new_by_name)):
-        before = float(old_by_name[name]["value"])
-        after = float(new_by_name[name]["value"])
-        ratio = after / before if before > 0 else None
-        rows.append(
-            {
-                "name": name,
-                "metric": new_by_name[name].get("metric", ""),
-                "old": before,
-                "new": after,
-                "ratio": ratio,
-                "regressed": ratio is not None and ratio < 1.0 - tolerance,
-            }
-        )
-    return {
-        "kind": "bench-diff",
-        "tolerance": tolerance,
-        "old_fingerprint": old.get("fingerprint", {}),
-        "new_fingerprint": new.get("fingerprint", {}),
-        "scenarios": rows,
-        "only_old": sorted(set(old_by_name) - set(new_by_name)),
-        "only_new": sorted(set(new_by_name) - set(old_by_name)),
-        "regressions": sorted(
-            row["name"] for row in rows if row["regressed"]
-        ),
-    }
 
 
 def cache_digests(cache_dir: Union[str, Path]) -> Dict[str, str]:
@@ -120,42 +59,20 @@ def diff_digests(old: Dict[str, str], new: Dict[str, str]) -> Dict:
 
 
 def render_longitudinal(diff: Dict) -> str:
-    """Markdown for either diff kind (dispatches on ``kind``)."""
-    if diff.get("kind") == "digest-diff":
-        lines = [
-            "# Result-cache golden diff",
-            "",
-            f"- unchanged entries: {diff['unchanged']}",
-            f"- changed entries: {len(diff['changed'])}",
-            f"- only in old: {len(diff['only_old'])},"
-            f" only in new: {len(diff['only_new'])}",
-        ]
-        if diff["changed"]:
-            lines += ["", "Changed job keys (behaviour drift!):", ""]
-            lines += [f"- `{key}`" for key in diff["changed"]]
-        else:
-            lines += ["", "No shared entry changed — simulated behaviour"
-                      " is stable across the two states."]
-        lines.append("")
-        return "\n".join(lines)
+    """Markdown for a :func:`diff_digests` result."""
     lines = [
-        "# Host-benchmark diff",
+        "# Result-cache golden diff",
         "",
-        f"- tolerance: {diff['tolerance']:.0%} relative",
-        f"- regressions: {len(diff['regressions'])}",
-        "",
-        "| scenario | old | new | ratio | verdict |",
-        "|---|---|---|---|---|",
+        f"- unchanged entries: {diff['unchanged']}",
+        f"- changed entries: {len(diff['changed'])}",
+        f"- only in old: {len(diff['only_old'])},"
+        f" only in new: {len(diff['only_new'])}",
     ]
-    for row in diff["scenarios"]:
-        ratio = "—" if row["ratio"] is None else f"{row['ratio']:.3f}"
-        verdict = "REGRESSED" if row["regressed"] else "ok"
-        lines.append(
-            f"| {row['name']} | {row['old']:.1f} | {row['new']:.1f} |"
-            f" {ratio} | {verdict} |"
-        )
-    for side, names in (("old", diff["only_old"]), ("new", diff["only_new"])):
-        if names:
-            lines += ["", f"Only in {side}: " + ", ".join(names)]
+    if diff["changed"]:
+        lines += ["", "Changed job keys (behaviour drift!):", ""]
+        lines += [f"- `{key}`" for key in diff["changed"]]
+    else:
+        lines += ["", "No shared entry changed — simulated behaviour"
+                  " is stable across the two states."]
     lines.append("")
     return "\n".join(lines)

@@ -37,7 +37,7 @@ from .levels import CoreCaches
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..core.tla import TLAPolicy
-    from ..telemetry import Tracer
+    from ..telemetry import IntervalCollector, Tracer
 
 #: access() return codes, in increasing latency order.
 HIT_L1 = 0
@@ -120,9 +120,6 @@ class BaseHierarchy:
         #: set by the exclusive mode when an invalidated-on-hit LLC copy
         #: was dirty, so the dirty bit migrates into the L2 fill.
         self._fill_dirty = False
-        #: observers of cold-path events (LLC fills/evictions and
-        #: inclusion victims); see :mod:`repro.analysis`.
-        self._observers: List[object] = []
         #: CacheSan sanitizer, or None.  Resolved here (not in the
         #: builder) so directly-constructed hierarchies also honour
         #: ``config.sanitize`` and the ``REPRO_SANITIZE`` env var.
@@ -130,38 +127,23 @@ class BaseHierarchy:
         auto_sanitizer = sanitizer_from_config(config.sanitize)
         if auto_sanitizer is not None:
             self.attach_sanitizer(auto_sanitizer)
-        #: telemetry tracer; stays None unless a telemetry-enabled run
-        #: installs one, so untraced hook sites pay one ``is None`` test.
+        # Observation probes: one slot per kind, all here and all None
+        # when off, so an unobserved hook site pays one ``is None``
+        # test.  None of them may influence simulated statistics.
+        #: event sink with ``Tracer.emit``'s signature: the telemetry
+        #: tracer, or a :mod:`repro.analysis` analyzer.
         self.tracer: Optional["Tracer"] = None
-        #: host phase timer (see :mod:`repro.perf.phase`); same
-        #: discipline as the tracer — None keeps the demand path on a
-        #: couple of ``is None`` tests per access and must never
-        #: influence simulated statistics.
+        #: host phase timer (see :mod:`repro.perf.phase`).
         self.phase_timer = None
+        #: interval collector the core's probed loop ticks with
+        #: :attr:`clock`.
+        self.collector: Optional["IntervalCollector"] = None
         #: approximate global cycle clock for event timestamps, advanced
-        #: by the core's probed loop only while telemetry is active.
+        #: by the core's probed loop only while a collector is attached.
         self.clock = 0.0
         self.tla: "TLAPolicy" = _make_none_policy()
         self.tla.attach(self)
         self._refresh_tla_hooks()
-
-    def add_observer(self, observer: object) -> None:
-        """Attach an analysis observer (see :mod:`repro.analysis`).
-
-        Observers may implement any of ``on_llc_fill(line_addr)``,
-        ``on_llc_eviction(line_addr, dirty)`` and
-        ``on_inclusion_victim(core_id, line_addr)``; missing methods
-        are skipped.  Only cold-path events are observed, so
-        observation cost scales with the miss rate, not the access
-        rate.
-        """
-        self._observers.append(observer)
-
-    def _notify(self, method: str, *args) -> None:
-        for observer in self._observers:
-            callback = getattr(observer, method, None)
-            if callback is not None:
-                callback(*args)
 
     # -- TLA policy management -------------------------------------------------
     def attach_tla(self, policy: "TLAPolicy") -> None:
@@ -409,10 +391,6 @@ class BaseHierarchy:
                 line=victim.line_addr,
                 extra={"dirty": victim.dirty},
             )
-        if self._observers:
-            self._notify("on_llc_fill", line_addr)
-            if victim is not None:
-                self._notify("on_llc_eviction", victim.line_addr, victim.dirty)
         if victim is not None:
             self._on_llc_eviction(victim)
         self.tla.after_llc_miss_fill(core_id, set_index, way, line_addr)
@@ -441,11 +419,6 @@ class BaseHierarchy:
         timer = self.phase_timer
         if timer is not None:
             timer.enter(PHASE_BACK_INVALIDATE)
-        if not record_inclusion_victim and self.sanitizer is not None:
-            # ECI / modified QBS: the line stays LLC-resident while its
-            # core copies are deliberately removed.  Tell the sanitizer
-            # so the inclusion check can exempt an in-flight window.
-            self.sanitizer.note_intentional_invalidate(line_addr)
         for sharer in self.directory.sharers(line_addr):
             self.traffic.record(message)
             if tracer is not None:
@@ -472,8 +445,6 @@ class BaseHierarchy:
                         core=sharer,
                         line=line_addr,
                     )
-                if self._observers:
-                    self._notify("on_inclusion_victim", sharer, line_addr)
             else:
                 self.core_stats[sharer].eci_invalidations += 1
         if timer is not None:

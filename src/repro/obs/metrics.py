@@ -21,10 +21,10 @@ cheap enough for admission-path use (the broker calls these while
 already holding its own lock; the registry lock never takes any other
 lock, so lock order is trivially acyclic).
 
-The disabled-is-free contract mirrors the tracer and the phase timer:
-a registry built with ``enabled=False`` hands out instruments whose
-update methods return on their first branch and whose exports are
-empty — hook sites need no ``if`` guards of their own, and tests pin
+The disabled-is-free contract mirrors the phase timer's: a registry
+built with ``enabled=False`` hands out instruments whose update
+methods return on their first branch and whose exports are empty —
+hook sites need no ``if`` guards of their own, and tests pin
 that a disabled registry accumulates no state at all.
 
 Only JSON scalars/containers appear in exports, so a snapshot survives

@@ -24,7 +24,6 @@ import json
 import os
 import platform
 import subprocess
-import sys
 import time
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional
@@ -160,8 +159,15 @@ def write_bench(artifact: Dict, path: Optional[Path] = None) -> Path:
 
 
 def load_bench(path) -> Dict:
-    """Load + schema-check a bench artifact; raises on invalid input."""
-    data = json.loads(Path(path).read_text(encoding="utf-8"))
+    """Load + schema-check a bench artifact.
+
+    Raises :class:`ConfigurationError` for an unreadable, non-JSON or
+    schema-invalid file.
+    """
+    try:
+        data = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (OSError, ValueError) as error:
+        raise ConfigurationError(f"unreadable bench file {path}: {error}") from error
     errors = validate_bench_dict(data)
     if errors:
         raise ConfigurationError(

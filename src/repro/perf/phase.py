@@ -14,11 +14,11 @@ per-phase totals sum to the measured span *exactly*, which is what lets
 tests (and the acceptance gate) assert that the timer accounts for
 >= 95 % of a simulation's wall time.
 
-The disabled cost discipline mirrors the tracer:
+The disabled cost discipline:
 
 * hook sites hold the timer in a local and guard with ``if timer is
-  not None`` — the default run never calls into this module
-  (``BaseHierarchy.phase_timer`` stays ``None``);
+  not None``, as they do the tracer — the default run never calls
+  into this module (``BaseHierarchy.phase_timer`` stays ``None``);
 * a constructed-but-disabled ``PhaseTimer(enabled=False)`` returns from
   :meth:`enter`/:meth:`exit` on the first branch, so code handed a
   timer unconditionally pays only one attribute test per hook.
@@ -124,26 +124,6 @@ class PhaseTimer:
         if not stack:
             raise SimulationError("PhaseTimer.exit() with no phase entered")
         self.totals[stack.pop()] += now - self._mark
-        self._mark = now
-
-    def switch(self, phase: str) -> None:
-        """Replace the innermost phase with ``phase`` in one transition.
-
-        Equivalent to ``exit(); enter(phase)`` — same count semantics,
-        same stack depth — but reads the clock once instead of twice,
-        so back-to-back phases in a hot loop pay half the transition
-        cost.  Requires an open phase (the innermost is charged up to
-        the switch point).
-        """
-        if not self.enabled:
-            return
-        now = self._clock()
-        stack = self._stack
-        if not stack:
-            raise SimulationError("PhaseTimer.switch() with no phase entered")
-        self.totals[stack[-1]] += now - self._mark
-        stack[-1] = phase
-        self.counts[phase] += 1
         self._mark = now
 
     # -- cold conveniences ---------------------------------------------------

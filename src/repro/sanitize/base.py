@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, List, Optional, Sequence
 
 from ..config import SanitizeConfig
 from ..errors import SanitizerError
@@ -132,9 +132,6 @@ class HierarchySanitizer:
         self.violations: List[Violation] = []
         self.scans = 0
         self._access_count = 0
-        # line addr -> access count at which its exemption expires;
-        # populated by intentional (ECI / modified-QBS) invalidates.
-        self._eci_window: Dict[int, int] = {}
 
     # -- wiring ---------------------------------------------------------------
     def attach(self, hierarchy: "BaseHierarchy") -> None:
@@ -157,31 +154,6 @@ class HierarchySanitizer:
         self._access_count += 1
         if self._access_count % self.config.interval == 0:
             self.run()
-
-    def note_intentional_invalidate(self, line_addr: int) -> None:
-        """The hierarchy announced an intentional early invalidate.
-
-        ECI and modified QBS remove core copies of a line that stays
-        LLC-resident.  In a hierarchy with in-flight invalidate
-        messages a core may transiently disagree with the LLC about
-        such a line, so the inclusion check exempts it for
-        ``eci_window`` accesses.  With the default window of 0 this is
-        a no-op and the check stays fully strict.
-        """
-        if self.config.eci_window:
-            self._eci_window[line_addr] = (
-                self._access_count + self.config.eci_window
-            )
-
-    def in_eci_window(self, line_addr: int) -> bool:
-        """Is ``line_addr`` currently exempt as an in-flight invalidate?"""
-        expires = self._eci_window.get(line_addr)
-        if expires is None:
-            return False
-        if expires < self._access_count:
-            del self._eci_window[line_addr]
-            return False
-        return True
 
     # -- scanning -------------------------------------------------------------
     def run(self) -> List[Violation]:

@@ -39,15 +39,9 @@ def _all_arrays(hierarchy: "BaseHierarchy") -> Iterable[Tuple[str, Cache]]:
 
 
 class InclusionChecker(InvariantChecker):
-    """Core caches must be a subset of an inclusive LLC.
-
-    Lines inside the sanitizer's ECI allowlist window (announced via
-    :meth:`HierarchySanitizer.note_intentional_invalidate`) are
-    exempt: ECI / modified QBS intentionally invalidate core copies of
-    an LLC-resident line, and a decoupled hierarchy may deliver those
-    invalidates with a delay.  With the default window of 0 the check
-    is fully strict.
-    """
+    """Core caches must be a subset of an inclusive LLC (strictly: ECI
+    and modified QBS invalidate core copies synchronously, so no line
+    is ever exempt)."""
 
     name = "inclusion"
 
@@ -56,12 +50,9 @@ class InclusionChecker(InvariantChecker):
 
     def check(self, hierarchy: "BaseHierarchy") -> List[Violation]:
         violations: List[Violation] = []
-        sanitizer = self.sanitizer
         for label, cache in _core_arrays(hierarchy):
             for line_addr in cache.resident_lines():
                 if hierarchy.llc.contains(line_addr):
-                    continue
-                if sanitizer is not None and sanitizer.in_eci_window(line_addr):
                     continue
                 set_index = cache.set_index_of(line_addr)
                 violations.append(

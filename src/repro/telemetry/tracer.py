@@ -1,13 +1,12 @@
-"""The event tracer: typed simulation events, nearly free when off.
+"""The event tracer: typed simulation events, free when off.
 
-Two layers keep the disabled cost at (almost) zero:
-
-* hook sites in the hierarchy/CPU hold the tracer in a local and guard
-  with ``if tracer is not None`` — a disabled simulation never even
-  calls into this module (``BaseHierarchy.tracer`` stays ``None``);
-* a constructed-but-disabled ``Tracer`` (``enabled=False``) returns
-  from :meth:`Tracer.emit` on the first branch, so code handed a
-  tracer object unconditionally still pays only one attribute test.
+Off is ``None``: hook sites in the hierarchy and the MSHR file hold
+the tracer in a local and guard with ``if tracer is not None``, so an
+untraced simulation never calls into this module
+(``BaseHierarchy.tracer`` stays ``None``).  Any object with
+:meth:`Tracer.emit`'s signature can sit in that slot; the
+:mod:`repro.analysis` analyzers do, live or replaying
+:attr:`Tracer.events`.
 
 Every *eligible* event is always counted in :attr:`Tracer.counts`
 (exact aggregates survive sampling); category filtering and 1-in-N
@@ -28,7 +27,6 @@ class Tracer:
     """Records typed :class:`TraceEvent` objects during one simulation."""
 
     __slots__ = (
-        "enabled",
         "events",
         "counts",
         "dropped",
@@ -41,12 +39,10 @@ class Tracer:
 
     def __init__(
         self,
-        enabled: bool = True,
         categories: Iterable[str] = (),
         sample: int = 1,
         max_events: int = DEFAULT_MAX_EVENTS,
     ) -> None:
-        self.enabled = enabled
         #: recorded events, in emission order.
         self.events: List[TraceEvent] = []
         #: exact per-event-type totals, independent of filter/sampling.
@@ -71,8 +67,6 @@ class Tracer:
         extra: Optional[dict] = None,
     ) -> None:
         """Record one event (hook sites sit on cold simulation paths)."""
-        if not self.enabled:
-            return
         counts = self.counts
         counts[event] = counts.get(event, 0) + 1
         if self._categories is not None and CATEGORIES[event] not in self._categories:
@@ -103,8 +97,6 @@ class Tracer:
         }
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = "on" if self.enabled else "off"
         return (
-            f"<Tracer {state} recorded={len(self.events)} "
-            f"total={self.total_events()}>"
+            f"<Tracer recorded={len(self.events)} total={self.total_events()}>"
         )

@@ -8,6 +8,8 @@ from repro.access import AccessType
 from repro.cpu import CMPSimulator
 from repro.cpu.cmp import run_simulation
 from repro.errors import SimulationError
+from repro.sanitize import ENV_VAR as SANITIZE_ENV_VAR
+from repro.telemetry import TelemetryConfig
 from repro.workloads import TraceRecord
 from repro.workloads.synthetic import looping_trace, strided_trace
 from tests.conftest import tiny_sim_config
@@ -59,6 +61,47 @@ class TestBasicRuns:
         config = tiny_sim_config(num_cores=1, quota=500)
         result = run_simulation(config, [looping_trace(4)])
         assert result.cores[0].instructions == 500
+
+
+def loop_names(simulator):
+    """Which loop body each core's burst driver runs."""
+    names = []
+    for core in simulator.cores:
+        driver = core.burst_driver(8)
+        names.append(driver.__name__)
+        driver.close()
+    return names
+
+
+class TestProbeSlots:
+    """Every probe has one slot, on the hierarchy; the core keeps none."""
+
+    def _simulator(self, monkeypatch, **kwargs):
+        monkeypatch.delenv(SANITIZE_ENV_VAR, raising=False)
+        config = tiny_sim_config(num_cores=2, quota=1_000)
+        return CMPSimulator(config, [looping_trace(8), looping_trace(8)], **kwargs)
+
+    def test_default_run_installs_nothing_and_runs_bare(self, monkeypatch):
+        simulator = self._simulator(monkeypatch)
+        hierarchy = simulator.hierarchy
+        assert hierarchy.tracer is None
+        assert hierarchy.collector is None
+        assert hierarchy.phase_timer is None
+        assert simulator.mshr.tracer is None
+        assert loop_names(simulator) == ["_bare_loop", "_bare_loop"]
+
+    def test_telemetry_attaches_to_the_hierarchy(self, monkeypatch):
+        simulator = self._simulator(
+            monkeypatch, telemetry=TelemetryConfig(enabled=True)
+        )
+        hierarchy = simulator.hierarchy
+        assert hierarchy.tracer is not None
+        assert hierarchy.tracer is simulator.tracer is simulator.mshr.tracer
+        assert hierarchy.collector is not None
+        assert loop_names(simulator) == ["_probed_loop", "_probed_loop"]
+        result = simulator.run()
+        assert result.intervals is not None
+        assert result.intervals.num_windows >= 1
 
 
 class TestInterleaving:

@@ -119,7 +119,7 @@ class TestArtifactFiles:
     def test_load_rejects_malformed_json(self, tmp_path):
         bad = tmp_path / "BENCH_0.json"
         bad.write_text("{not json")
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigurationError):
             load_bench(bad)
 
 

@@ -1,5 +1,7 @@
 """Noise-tolerant bench comparison: thresholds, notes, CLI exit codes."""
 
+import json
+
 import pytest
 
 from repro.errors import ConfigurationError
@@ -139,6 +141,22 @@ class TestCompareCLI:
         bad.write_text('{"schema": 1}')
         good = self._write(tmp_path, "BENCH_1.json", a=1.0)
         assert main(["compare", str(bad), str(good)]) == 2
+
+    @pytest.mark.parametrize("content", [None, "{not json"])
+    def test_exit_two_on_unreadable_artifact(self, tmp_path, capsys, content):
+        """A missing or non-JSON file is an operand error with a logged
+        diagnostic, not a traceback."""
+        from repro.perf.__main__ import main
+
+        bad = tmp_path / "BENCH_0.json"
+        if content is not None:
+            bad.write_text(content)
+        good = self._write(tmp_path, "BENCH_1.json", a=1.0)
+        assert main(["compare", str(bad), str(good)]) == 2
+        record = json.loads(capsys.readouterr().err.splitlines()[-1])
+        assert record["level"] == "error"
+        assert record["event"] == "perf_cli_failed"
+        assert str(bad) in record["error"]
 
     def test_validate_subcommand(self, tmp_path):
         from repro.perf.__main__ import main

@@ -33,7 +33,6 @@ def sanitized(
     mode="inclusive",
     interval=1,
     fail_fast=True,
-    eci_window=0,
     checkers=(),
     **kw,
 ):
@@ -44,7 +43,6 @@ def sanitized(
             enabled=True,
             interval=interval,
             fail_fast=fail_fast,
-            eci_window=eci_window,
             checkers=checkers,
         ),
     )
@@ -264,45 +262,18 @@ def test_stats_checker_flags_unsent_back_invalidates():
         hierarchy.sanitizer.run()
 
 
-# -- ECI allowlist window ---------------------------------------------------------
-
-
-def test_eci_window_exempts_and_then_expires():
-    # inclusion checker only: the surgical LLC invalidate below also
-    # breaks directory consistency, which is not what this test probes.
-    # The huge interval keeps scans manual while accesses still tick
-    # the window clock.
-    hierarchy = sanitized(
-        eci_window=4, interval=10**9, checkers=("inclusion",)
-    )
-    warm_up(hierarchy)
-    sanitizer = hierarchy.sanitizer
-    victim = find_core_resident_llc_line(hierarchy)
-
-    sanitizer.note_intentional_invalidate(victim)
-    assert sanitizer.in_eci_window(victim)
-    # inclusion breach on an allowlisted line is tolerated...
-    hierarchy.llc.invalidate(victim)
-    sanitizer.run()
-
-    # ...until the window expires, when it becomes a violation again
-    for i in range(5):
-        hierarchy.access(1, (10_000 + i) * LINE, AccessType.LOAD)
-    assert not sanitizer.in_eci_window(victim)
-    assert hierarchy.cores[0].holds(victim)  # still core-resident
-    with pytest.raises(SanitizerError, match="inclusion"):
-        sanitizer.run()
+# -- strict inclusion ---------------------------------------------------------
 
 
 def test_eci_window_zero_is_fully_strict():
-    hierarchy = sanitized(
-        eci_window=0, interval=10**9, checkers=("inclusion",)
-    )
+    """No line is exempt from the inclusion check: ECI and modified QBS
+    invalidate core copies synchronously, so there is no in-flight
+    window to allow for."""
+    # inclusion checker only: the surgical LLC invalidate below also
+    # breaks directory consistency, which is not what this test probes.
+    hierarchy = sanitized(interval=10**9, checkers=("inclusion",))
     warm_up(hierarchy)
-    sanitizer = hierarchy.sanitizer
     victim = find_core_resident_llc_line(hierarchy)
-    sanitizer.note_intentional_invalidate(victim)
-    assert not sanitizer.in_eci_window(victim)
     hierarchy.llc.invalidate(victim)
     with pytest.raises(SanitizerError, match="inclusion"):
-        sanitizer.run()
+        hierarchy.sanitizer.run()

@@ -1,4 +1,4 @@
-"""Tracer: disabled fast path, exact counts, filters, sampling, caps."""
+"""Tracer: exact counts, filters, sampling, caps."""
 
 from repro.telemetry import (
     EVENT_BACK_INVALIDATE,
@@ -6,16 +6,6 @@ from repro.telemetry import (
     EVENT_QBS_QUERY,
     Tracer,
 )
-
-
-class TestDisabled:
-    def test_disabled_tracer_records_and_counts_nothing(self):
-        tracer = Tracer(enabled=False)
-        for cycle in range(100):
-            tracer.emit(float(cycle), EVENT_LLC_MISS, core=0, line=cycle)
-        assert tracer.events == []
-        assert tracer.counts == {}
-        assert tracer.total_events() == 0
 
 
 class TestRecording:
