@@ -10,7 +10,7 @@ object or list per set.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Collection, Iterable, List
+from typing import Collection, List
 
 from ...errors import SimulationError
 
@@ -100,11 +100,6 @@ class ReplacementPolicy(ABC):
             excluded.add(way)
         return order
 
-    def reset_set(self, set_index: int) -> None:
-        """Forget all state for one set (used by tests)."""
-        for way in range(self.associativity):
-            self.on_invalidate(set_index, way)
-
     def validate_set(self, set_index: int) -> None:
         """Raise :class:`SimulationError` if this set's metadata is corrupt.
 
@@ -120,19 +115,3 @@ class ReplacementPolicy(ABC):
             f"<{type(self).__name__} sets={self.num_sets} "
             f"ways={self.associativity}>"
         )
-
-
-def validate_way(policy: ReplacementPolicy, way: int) -> None:
-    """Raise if ``way`` is outside the policy's associativity."""
-    if not 0 <= way < policy.associativity:
-        raise SimulationError(
-            f"way {way} out of range for associativity {policy.associativity}"
-        )
-
-
-def iter_not_excluded(ways: Iterable[int], exclude: Collection[int]) -> Iterable[int]:
-    """Yield ways not present in ``exclude`` (tiny helper shared by policies)."""
-    if not exclude:
-        return ways
-    excluded = set(exclude)
-    return (w for w in ways if w not in excluded)

@@ -1,17 +1,13 @@
 """Developer tooling that guards the simulator's structure.
 
-Two static-analysis tools share one parse of the tree
-(:mod:`repro.devtools.project`):
+:mod:`repro.devtools.analyze` is ReproCheck, the one static checker
+(``python -m repro.devtools analyze``).  It parses the tree once
+(:mod:`repro.devtools.project`) and runs four pass families over it:
+file-local simulation hygiene (CS), determinism taint dataflow (DX),
+process-safety (PX) and hot-path checks (HX).
 
-* :mod:`repro.devtools.lint` — file-local simulation-hygiene rules
-  CS1–CS4 (``python -m repro.devtools lint``, or the historical
-  ``python -m repro.devtools.lint``);
-* :mod:`repro.devtools.analyze` — ReproCheck, the whole-program
-  analyzer: determinism taint dataflow (DX), process-safety (PX) and
-  hot-path checks (HX) over a project-wide import graph and
-  approximate call graph (``python -m repro.devtools analyze``).
-
-Deliberate exceptions live in ``analyze_baseline.json`` (one
+Deliberate DX/PX/HX exceptions live in ``analyze_baseline.json`` (one
 justification per entry) or as inline ``# repro: allow[RULE]``
-escapes; see the README "Static analysis" section.
+escapes; CS findings admit neither.  See the README "Static
+analysis" section.
 """

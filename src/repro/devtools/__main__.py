@@ -1,17 +1,17 @@
-"""Entry point: ``python -m repro.devtools <analyze|lint> [args...]``."""
+"""Entry point: ``python -m repro.devtools analyze [args...]``."""
 
 from __future__ import annotations
 
 import sys
 from typing import Optional, Sequence
 
-from . import analyze, lint
+from . import analyze
 
 USAGE = """usage: python -m repro.devtools <command> [args...]
 
 commands:
-  analyze   whole-program determinism/process-safety/hot-path analysis
-  lint      file-local simulation-hygiene lint (CS1-CS4)
+  analyze   static analysis: hygiene (CS), determinism (DX),
+            process-safety (PX) and hot-path (HX) rules
 """
 
 
@@ -23,8 +23,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     command, rest = argv[0], argv[1:]
     if command == "analyze":
         return analyze.main(rest)
-    if command == "lint":
-        return lint.main(rest)
     print(f"unknown command {command!r}\n{USAGE}", file=sys.stderr, end="")
     return 2
 

@@ -1,23 +1,24 @@
-"""ReproCheck — whole-program static analysis for the simulator tree.
+"""ReproCheck — the static checker for the simulator tree.
 
 ``python -m repro.devtools analyze [paths...]`` parses every module
-once (the parse cache is shared with :mod:`repro.devtools.lint`),
-builds the project import graph and approximate call graph, and runs
-three interprocedural pass families:
+once, builds the project import graph and approximate call graph, and
+runs four pass families:
 
+* **CS** — file-local simulation hygiene (:mod:`repro.devtools.passes.cs`);
 * **DX** — determinism taint dataflow (:mod:`repro.devtools.passes.dx`);
 * **PX** — process-safety (:mod:`repro.devtools.passes.px`);
 * **HX** — hot-path checks (:mod:`repro.devtools.passes.hx`).
 
-Findings can be excused two ways: an inline ``# repro: allow[RULE]``
-escape at the site, or an entry in the checked-in baseline file
-(``--baseline``, default ``src/repro/devtools/analyze_baseline.json``)
-carrying a one-line justification.  ``--update-baseline`` rewrites
-the baseline to the current findings, preserving justifications of
-surviving entries.  Baseline *drift* — entries naming unknown rules,
-missing files, or symbols that no longer exist — always fails the
-run; ``--strict-baseline`` additionally fails on stale entries whose
-finding has been fixed.
+DX/PX/HX findings can be excused two ways: an inline
+``# repro: allow[RULE]`` escape at the site, or an entry in the
+checked-in baseline file (``--baseline``, default
+``src/repro/devtools/analyze_baseline.json``) carrying a one-line
+justification.  CS findings admit neither.  ``--update-baseline``
+rewrites the baseline to the current DX/PX/HX findings, preserving
+justifications of surviving entries.  Baseline *drift* — entries
+naming unknown rules, missing files, or symbols that no longer exist
+— always fails the run; ``--strict-baseline`` additionally fails on
+stale entries whose finding has been fixed.
 
 Exit codes: 0 clean (relative to the baseline), 1 findings or drift,
 2 usage error.
@@ -34,7 +35,7 @@ from pathlib import Path
 from typing import List, Optional, Sequence
 
 from . import project
-from .passes import run_dx_pass, run_hx_pass, run_px_pass
+from .passes import run_cs_pass, run_dx_pass, run_hx_pass, run_px_pass
 from .rules import (
     RULES,
     Baseline,
@@ -150,6 +151,7 @@ def analyze_paths(
         paths = [Path(__file__).resolve().parents[1]]
     index = project.load_project([Path(p) for p in paths])
     findings = _syntax_findings(index)
+    findings += run_cs_pass(index)
     findings += run_dx_pass(index)
     findings += run_px_pass(index)
     findings += run_hx_pass(index)
@@ -180,14 +182,15 @@ def update_baseline(
     paths: Optional[Sequence[Path]] = None,
     baseline_path: Path = DEFAULT_BASELINE,
     select: Optional[Sequence[str]] = None,
-) -> AnalysisReport:
-    """Rewrite the baseline to accept every current finding."""
+) -> Baseline:
+    """Rewrite the baseline to accept every current DX/PX/HX finding."""
     report = analyze_paths(paths, baseline_path=None, select=select)
     previous: Optional[Baseline] = None
     if baseline_path.exists():
         previous = load_baseline(baseline_path)
-    save_baseline(baseline_path, merge_baseline(report.findings, previous))
-    return report
+    baseline = merge_baseline(report.findings, previous)
+    save_baseline(baseline_path, baseline)
+    return baseline
 
 
 def _print_report(report: AnalysisReport, strict: bool) -> None:
@@ -213,7 +216,7 @@ def _print_report(report: AnalysisReport, strict: bool) -> None:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.devtools analyze",
-        description="Whole-program determinism/process-safety/hot-path analysis.",
+        description="Hygiene/determinism/process-safety/hot-path static analysis.",
     )
     parser.add_argument(
         "paths",
@@ -258,11 +261,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 2
     try:
         if args.update_baseline:
-            report = update_baseline(
+            baseline = update_baseline(
                 paths, baseline_path=args.baseline, select=args.select
             )
             print(
-                f"analyze: baseline updated with {len(report.findings)} "
+                f"analyze: baseline updated with {len(baseline.entries)} "
                 f"entr(y/ies) at {args.baseline}"
             )
             return 0

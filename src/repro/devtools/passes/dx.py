@@ -7,8 +7,10 @@ the approximate call graph:
 
 sources (taint kinds)
     ``wallclock`` — host clock reads beyond ``time.perf_counter`` /
-    ``time.process_time`` (same table as lint rule CS3);
-    ``rng`` — draws from unseeded generators (same shapes as CS2);
+    ``time.process_time`` (:func:`wall_clock_read`, which CS3 also
+    uses);
+    ``rng`` — draws from unseeded generators (:func:`unseeded_draw`,
+    which CS2 also uses);
     ``id`` — ``id()`` values (process-dependent);
     ``setorder`` — iteration over set/frozenset expressions, whose
     order depends on ``PYTHONHASHSEED`` for str keys.
@@ -42,7 +44,7 @@ from typing import Dict, List, Optional, Tuple
 from ..project import FunctionInfo, ProjectIndex, dotted_parts
 from ..rules import Finding
 
-#: dotted-suffix wall-clock sources (shared with lint CS3).
+#: dotted-suffix wall-clock sources.
 WALL_CLOCK_SOURCES = (
     ("time", "time"),
     ("time", "time_ns"),
@@ -52,8 +54,7 @@ WALL_CLOCK_SOURCES = (
     ("date", "today"),
 )
 
-#: seeded numpy constructors that are not RNG sources when given a seed
-#: (shared with lint CS2).
+#: seeded numpy constructors that are not RNG sources when given a seed.
 SEEDED_NUMPY = frozenset({"RandomState", "default_rng", "Generator"})
 
 #: constructors whose arguments become cached/exported payloads.
@@ -91,6 +92,42 @@ TAINT_LABELS = {
     "id": "id() value",
     "setorder": "set iteration order",
 }
+
+
+def wall_clock_read(call: ast.Call) -> Optional[str]:
+    """``"time.time()"``-style description if ``call`` reads the host
+    wall clock (a :data:`WALL_CLOCK_SOURCES` suffix), else None.
+
+    The one wall-clock predicate: DX1's taint source and rule CS3.
+    """
+    if not isinstance(call.func, ast.Attribute):
+        return None
+    suffix = tuple(dotted_parts(call.func)[-2:])
+    if suffix not in WALL_CLOCK_SOURCES:
+        return None
+    return f"{suffix[0]}.{suffix[1]}()"
+
+
+def unseeded_draw(call: ast.Call) -> Optional[str]:
+    """Description if ``call`` draws unseeded randomness, else None.
+
+    Flags ``random.<fn>(...)`` except a seeded ``random.Random(seed)``,
+    and numpy-style ``<module>.random.<fn>(...)`` except a seeded
+    :data:`SEEDED_NUMPY` construction.  The one RNG predicate: DX2's
+    taint source and rule CS2.
+    """
+    func = call.func
+    if not isinstance(func, ast.Attribute):
+        return None
+    if isinstance(func.value, ast.Name) and func.value.id == "random":
+        if func.attr == "Random" and call.args:
+            return None
+        return f"random.{func.attr}(...)"
+    if isinstance(func.value, ast.Attribute) and func.value.attr == "random":
+        if func.attr in SEEDED_NUMPY and call.args:
+            return None
+        return f".random.{func.attr}(...)"
+    return None
 
 
 @dataclass(frozen=True)
@@ -158,28 +195,17 @@ class _FunctionScanner(ast.NodeVisitor):
                         "setorder", node, f"{func.id}() over a set expression"
                     )
         elif isinstance(func, ast.Attribute):
-            self._check_wallclock(node, func)
-            self._check_rng(node, func)
+            clock = wall_clock_read(node)
+            if clock is not None:
+                self._source("wallclock", node, clock)
+            draw = unseeded_draw(node)
+            if draw is not None:
+                self._source("rng", node, draw)
             if func.attr == SINK_STORE_METHOD:
                 receiver = ".".join(dotted_parts(func.value)).lower()
                 if "cache" in receiver:
                     self._sink(node, f"result-cache write ({receiver}.store)")
         self.generic_visit(node)
-
-    def _check_wallclock(self, node: ast.Call, func: ast.Attribute) -> None:
-        parts = dotted_parts(func)
-        if len(parts) >= 2 and (parts[-2], parts[-1]) in WALL_CLOCK_SOURCES:
-            self._source("wallclock", node, f"{parts[-2]}.{parts[-1]}()")
-
-    def _check_rng(self, node: ast.Call, func: ast.Attribute) -> None:
-        if isinstance(func.value, ast.Name) and func.value.id == "random":
-            if func.attr == "Random" and node.args:
-                return  # seeded generator construction
-            self._source("rng", node, f"random.{func.attr}(...)")
-        elif isinstance(func.value, ast.Attribute) and func.value.attr == "random":
-            if func.attr in SEEDED_NUMPY and node.args:
-                return
-            self._source("rng", node, f".random.{func.attr}(...)")
 
     def visit_For(self, node: ast.For) -> None:
         if _is_set_expr(node.iter):
@@ -321,4 +347,6 @@ __all__ = [
     "SINK_FUNCTIONS",
     "WALL_CLOCK_SOURCES",
     "run_dx_pass",
+    "unseeded_draw",
+    "wall_clock_read",
 ]

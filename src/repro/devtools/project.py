@@ -1,11 +1,8 @@
-"""One-parse project index shared by every devtools static analysis.
+"""One-parse project index shared by every pass of the static checker.
 
-Both the file-local hygiene lint (:mod:`repro.devtools.lint`) and the
-whole-program analyzer (:mod:`repro.devtools.analyze`) need the AST of
-every file under ``src/repro``.  Parsing is the expensive part, so this
-module owns a process-wide parse cache keyed by ``(path, mtime, size)``:
-running lint and analyze in the same process parses each file exactly
-once, and re-running either is free while files are unchanged.
+:func:`load_project` parses each file under the analyzed paths exactly
+once per run; every pass of :mod:`repro.devtools.analyze` (CS, DX, PX,
+HX) reads the same ASTs.
 
 On top of the raw per-file parse (:func:`parse_module` /
 :class:`ModuleInfo`) sits :class:`ProjectIndex`, the whole-program
@@ -39,11 +36,6 @@ import re
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
-
-#: parse cache: (resolved path, mtime_ns, size) -> canonical ModuleInfo.
-_PARSE_CACHE: Dict[Tuple[str, int, int], "ModuleInfo"] = {}
-#: hit/miss counters, exposed for the one-parse regression test.
-_CACHE_STATS = {"hits": 0, "misses": 0}
 
 _MARKER_RE = re.compile(r"#\s*repro:\s*(allow\[(?P<rules>[A-Z0-9,\s]+)\]|(?P<hot>hot)\b)")
 
@@ -155,31 +147,14 @@ class ModuleInfo:
         return False
 
 
-def cache_stats() -> Dict[str, int]:
-    """Parse-cache hit/miss counters (for the one-parse tests)."""
-    return dict(_CACHE_STATS)
-
-
-def clear_cache() -> None:
-    """Drop the parse cache (tests only)."""
-    _PARSE_CACHE.clear()  # repro: allow[PX2] — test-only reset of the parse memo
-
-
 def parse_module(path: Path) -> ModuleInfo:
-    """Parse ``path`` once per (mtime, size); cached process-wide.
+    """Parse ``path`` into a :class:`ModuleInfo`.
 
     Syntax errors are captured on :attr:`ModuleInfo.error` (with
     ``tree=None``) rather than raised, so one broken file degrades to
     one finding instead of aborting a whole run.
     """
     resolved = path.resolve()
-    stat = resolved.stat()
-    key = (str(resolved), stat.st_mtime_ns, stat.st_size)
-    cached = _PARSE_CACHE.get(key)
-    if cached is not None:
-        _CACHE_STATS["hits"] += 1  # repro: allow[PX2] — in-process counters
-        return cached
-    _CACHE_STATS["misses"] += 1  # repro: allow[PX2] — in-process counters
     source = resolved.read_text(encoding="utf-8")
     tree: Optional[ast.Module] = None
     error: Optional[SyntaxError] = None
@@ -187,7 +162,7 @@ def parse_module(path: Path) -> ModuleInfo:
         tree = ast.parse(source, filename=str(resolved))
     except SyntaxError as exc:
         error = exc
-    info = ModuleInfo(
+    return ModuleInfo(
         path=resolved,
         rel=resolved.name,
         name=module_name_of(resolved),
@@ -197,10 +172,6 @@ def parse_module(path: Path) -> ModuleInfo:
         tree=tree,
         error=error,
     )
-    # The memo is only ever extended; entries are immutable snapshots
-    # keyed by content identity, so sharing across callers is safe.
-    _PARSE_CACHE[key] = info  # repro: allow[PX2] — the one-parse memo itself
-    return info
 
 
 def iter_python_files(paths: Iterable[Path]) -> List[Tuple[Path, str]]:
@@ -440,9 +411,6 @@ class ProjectIndex:
             stack.extend(self.calls.get(current, ()))
         return seen
 
-    def functions_named(self, bare_name: str) -> List[FunctionInfo]:
-        return [f for f in self.functions.values() if f.name == bare_name]
-
     def enclosing_function(self, module: ModuleInfo, line: int) -> Optional[str]:
         """Qualname of the innermost function spanning ``line``."""
         best: Optional[FunctionInfo] = None
@@ -457,7 +425,7 @@ class ProjectIndex:
 
 
 def load_project(paths: Sequence[Path]) -> ProjectIndex:
-    """Parse (cached) every file under ``paths`` and index the project."""
+    """Parse every file under ``paths`` once and index the project."""
     modules = [
         replace(parse_module(path), rel=rel)
         for path, rel in iter_python_files(paths)
@@ -470,8 +438,6 @@ __all__ = [
     "GENERIC_ATTR_NAMES",
     "ModuleInfo",
     "ProjectIndex",
-    "cache_stats",
-    "clear_cache",
     "dotted_parts",
     "iter_python_files",
     "load_project",

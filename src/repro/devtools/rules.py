@@ -15,6 +15,9 @@ with ``TODO: justify``.
 Baseline drift — entries naming rules that don't exist, files that
 are gone, or symbols no longer defined — is an error: a baseline must
 only ever describe the current tree.
+
+CS hygiene findings are never baselined: no entry accepts one and
+``--update-baseline`` never records one.
 """
 
 from __future__ import annotations
@@ -40,19 +43,11 @@ class Rule:
     summary: str
 
 
-#: the single rule registry (populated below and by register_rule).
+#: the single rule registry.
 RULES: Dict[str, Rule] = {}
 
-
-def register_rule(rule: Rule) -> Rule:
-    """Register (or replace) a rule; returns it for inline use."""
-    RULES[rule.id] = rule  # repro: allow[PX2] — registry extension API
-    return rule
-
-
 for _rule in (
-    # file-local hygiene (repro.devtools.lint)
-    Rule("CS0", "CS", SEVERITY_ERROR, "syntax error"),
+    # file-local hygiene (repro.devtools.passes.cs)
     Rule("CS1", "CS", SEVERITY_ERROR, "staged cache mutator outside owning layers"),
     Rule("CS2", "CS", SEVERITY_ERROR, "unseeded randomness"),
     Rule("CS3", "CS", SEVERITY_ERROR, "host wall-clock read"),
@@ -99,6 +94,11 @@ class Finding:
     def severity(self) -> str:
         rule = RULES.get(self.rule)
         return rule.severity if rule else SEVERITY_ERROR
+
+    @property
+    def baselinable(self) -> bool:
+        """Can a baseline entry accept this finding?  Never for CS."""
+        return not self.rule.startswith("CS")
 
     def __str__(self) -> str:
         text = f"{self.path}:{self.line}:{self.col}: {self.rule} {self.message}"
@@ -196,7 +196,7 @@ def apply_baseline(
 ) -> Tuple[List[Finding], List[Finding], List[BaselineEntry]]:
     """Split findings into (new, accepted) and report stale entries.
 
-    A baseline entry accepts every finding matching its
+    A baseline entry accepts every baselinable finding matching its
     ``(rule, path, symbol)`` key.  Entries matching nothing are
     *stale* — the violation they excused is gone.
     """
@@ -206,7 +206,7 @@ def apply_baseline(
     accepted: List[Finding] = []
     for finding in findings:
         key = (finding.rule, finding.path, finding.symbol)
-        if key in index:
+        if finding.baselinable and key in index:
             used.add(key)
             accepted.append(finding)
         else:
@@ -218,12 +218,13 @@ def apply_baseline(
 def merge_baseline(
     findings: Sequence[Finding], previous: Optional[Baseline]
 ) -> Baseline:
-    """Baseline for the current findings, keeping old justifications."""
+    """Baseline for the current baselinable findings, keeping old
+    justifications."""
     old = previous.by_key() if previous is not None else {}
     entries: Dict[Tuple[str, str, str], BaselineEntry] = {}
     for finding in findings:
         key = (finding.rule, finding.path, finding.symbol)
-        if key in entries:
+        if key in entries or not finding.baselinable:
             continue
         kept = old.get(key)
         entries[key] = BaselineEntry(
@@ -247,6 +248,5 @@ __all__ = [
     "apply_baseline",
     "load_baseline",
     "merge_baseline",
-    "register_rule",
     "save_baseline",
 ]

@@ -13,7 +13,8 @@ Four subcommands, all read-only over existing artefacts:
 * ``longitudinal`` — diff two repo states: two ``BENCH_*.json`` files
   (``repro.perf``'s tolerant throughput comparison) or two cache
   directories (exact golden digest comparison), dispatched on whether
-  the operands are directories.
+  the operands are directories.  Exits 1 on a regression or a changed
+  digest and 2 on an operand it cannot read.
 
 Nothing here ever starts a simulation: a missing (workload, policy)
 cell is reported, not filled in.
@@ -25,7 +26,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from ..errors import ReproError
+from ..errors import ConfigurationError, ReproError
 from ..perf.compare import compare_benches
 from ..telemetry import get_logger
 from .longitudinal import cache_digests, diff_digests, render_longitudinal
@@ -152,6 +153,8 @@ def cmd_report(args) -> int:
 
 
 def cmd_longitudinal(args) -> int:
+    """Exit 0 when stable, 1 on a regression or a changed digest, and
+    2 when an operand cannot be read (as ``repro.perf compare``)."""
     old, new = Path(args.old), Path(args.new)
     if old.is_dir() != new.is_dir():
         log.error("mixed_operands", old=str(old), new=str(new))
@@ -162,7 +165,12 @@ def cmd_longitudinal(args) -> int:
         return 1 if diff["changed"] else 0
     from ..perf.bench import load_bench  # late: pulls in the simulator
 
-    comparison = compare_benches(load_bench(old), load_bench(new), args.tolerance)
+    try:
+        old_bench, new_bench = load_bench(old), load_bench(new)
+    except ConfigurationError as error:
+        log.error("unreadable_operand", error=str(error))
+        return 2
+    comparison = compare_benches(old_bench, new_bench, args.tolerance)
     print(comparison.render())
     return 0 if comparison.ok else 1
 

@@ -14,9 +14,27 @@ import json
 import os
 from dataclasses import asdict
 from pathlib import Path
-from typing import Dict, Optional
+from typing import Any, Dict, Optional
 
 from .job import RunSummary
+
+
+def summary_to_dict(summary: RunSummary) -> Dict[str, Any]:
+    """The JSON shape of a cache entry (and of the service's result body).
+
+    The host digest is per-execution provenance (wall times differ run
+    to run), so it is stripped unconditionally: entries depend only on
+    simulated output, keeping serial and parallel sweeps byte-identical.
+    Optional telemetry fields are omitted when unset so the entries of
+    untraced runs stay byte-identical to pre-telemetry entries (pinned
+    by the golden tests).
+    """
+    data = asdict(summary)
+    data.pop("host", None)
+    for optional in ("intervals", "telemetry"):
+        if data.get(optional) is None:
+            data.pop(optional, None)
+    return data
 
 
 class ResultCache:
@@ -55,18 +73,6 @@ class ResultCache:
         self._memory[key] = summary
         path = self.path_for(key)
         if path is not None:
-            data = asdict(summary)
-            # The host digest is per-execution provenance (wall times
-            # differ run to run), so it is stripped unconditionally:
-            # cache files depend only on simulated output, keeping
-            # serial and parallel sweeps byte-identical.
-            data.pop("host", None)
-            # Optional telemetry fields are omitted when unset so the
-            # cache files of untraced runs stay byte-identical to
-            # pre-telemetry entries (pinned by the golden tests).
-            for optional in ("intervals", "telemetry"):
-                if data.get(optional) is None:
-                    data.pop(optional, None)
             # Atomic publish: write the entry to a sibling temp file and
             # os.replace() it into place.  A process killed mid-write can
             # only ever leave a stray ``*.tmp`` behind — never a truncated
@@ -78,5 +84,5 @@ class ResultCache:
             # never interleave bytes in one temp file; last replace wins
             # with an identical payload either way (content-hash key).
             tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
-            tmp.write_text(json.dumps(data))
+            tmp.write_text(json.dumps(summary_to_dict(summary)))
             os.replace(tmp, path)

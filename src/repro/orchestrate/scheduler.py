@@ -264,11 +264,6 @@ class Orchestrator:
         #: sweep's wall time to orchestrate_overhead / execute_job /
         #: pool_wait; None keeps scheduling loops hook-free.
         self.phase_timer = phase_timer
-        #: key -> request trace id (repro.obs).  Callers that mint a
-        #: trace per request (RunTelemetry-backed sweeps) register ids
-        #: here so retry/failure diagnostics and manifest journal lines
-        #: carry the join key; empty means untraced and costs nothing.
-        self.trace_ids: Dict[str, str] = {}
         #: key -> final error message of permanently failed jobs (last run).
         self.failures: Dict[str, str] = {}
         #: jobs actually executed (not served from cache) in the last
@@ -345,7 +340,7 @@ class Orchestrator:
 
     def _on_dispatch(self, key: str, job: Any) -> DispatchSpec:
         self._started.setdefault(key, self._now())
-        return job, self._trace_id(key), self._label(job)
+        return job, self._trace_id(), self._label(job)
 
     # -- execution -------------------------------------------------------------
     def _requested_backend(self) -> str:
@@ -422,7 +417,7 @@ class Orchestrator:
             label=self._label(job),
             attempt=attempts,
             error=error,
-            trace_id=self._trace_id(key),
+            trace_id=self._trace_id(),
         )
 
     # -- bookkeeping -----------------------------------------------------------
@@ -436,15 +431,10 @@ class Orchestrator:
         payloads, which keeps the orchestrator job-type agnostic)."""
         return getattr(job, "category", None)
 
-    def _trace_id(self, key: str) -> Optional[str]:
-        """The trace a job belongs to: per-key registration wins, a
-        telemetry-collected sweep falls back to its run trace."""
-        found = self.trace_ids.get(key)
-        if found is not None:
-            return found
-        if self.telemetry is not None:
-            return getattr(self.telemetry, "trace_id", None)
-        return None
+    def _trace_id(self) -> Optional[str]:
+        """The trace every job of this run belongs to: a
+        telemetry-collected sweep's run trace, else None (untraced)."""
+        return getattr(self.telemetry, "trace_id", None)
 
     def _now(self) -> float:
         """Sweep-relative wall time (telemetry origin when available)."""
@@ -478,7 +468,7 @@ class Orchestrator:
                 label=self._label(job),
                 category=self._category(job),
                 host=compact_host(host),
-                trace_id=self._trace_id(key),
+                trace_id=self._trace_id(),
             )
         if self.telemetry is not None:
             end = self.telemetry.now()
@@ -500,7 +490,7 @@ class Orchestrator:
 
     def _fail(self, key: str, job: Any, error: str, attempts: int) -> None:
         self.failures[key] = error
-        trace_id = self._trace_id(key)
+        trace_id = self._trace_id()
         log.error(
             "job_failed",
             key=key,

@@ -13,13 +13,14 @@ Layering::
     __main__      CLI entrypoint (python -m repro.service)
     app           HTTP router/handlers (ThreadingHTTPServer)
     broker        admission control + shared execution engine
-    schemas       sweep-spec validation, job/result wire forms
+    schemas       sweep-spec validation, job wire form
     config        ServiceConfig (+ REPRO_SERVICE_* environment)
 
 See DESIGN.md §9 for the admission-control and dedup contract, and the
 README's "Running as a service" section for a curl walkthrough.
 """
 
+from ..orchestrate.cache import summary_to_dict
 from .app import ReproServiceServer, ServiceRequestHandler, create_server
 from .broker import (
     JOB_CACHED,
@@ -40,7 +41,6 @@ from .schemas import (
     expand_spec,
     job_from_dict,
     job_to_dict,
-    summary_to_dict,
 )
 
 __all__ = [

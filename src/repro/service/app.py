@@ -52,10 +52,11 @@ from ..eval import (
     render_markdown,
 )
 from ..obs import new_trace_id, parse_trace_header, render_registry
+from ..orchestrate.cache import summary_to_dict
 from ..telemetry import get_logger
 from .broker import JOB_CACHED, JOB_DONE, SWEEP_RUNNING, JobBroker
 from .config import ServiceConfig
-from .schemas import expand_spec, summary_to_dict
+from .schemas import expand_spec
 
 log = get_logger("repro.service.http")
 #: one sorted-key JSON line per served request: method, path, status,

@@ -1,4 +1,4 @@
-"""Sweep-spec validation and the JSON wire forms of jobs and results.
+"""Sweep-spec validation and the JSON wire form of jobs.
 
 The service's POST body is validated twice: structurally against
 :data:`SWEEP_SPEC_SCHEMA` with the same hand-rolled JSON-Schema subset
@@ -25,11 +25,11 @@ Two spec forms are accepted:
 from __future__ import annotations
 
 from dataclasses import asdict
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List
 
 from ..config import HIERARCHY_MODES, TLA_PRESETS, TLAConfig
 from ..errors import ConfigurationError, SweepSpecError
-from ..orchestrate import RunSummary, SimJob
+from ..orchestrate import SimJob
 from ..telemetry.schema import check
 from ..workloads import WorkloadMix, all_two_core_mixes
 from ..workloads.mixes import TABLE2_MIXES
@@ -225,19 +225,3 @@ def _expand_grid(grid: Dict[str, Any], settings) -> List[SimJob]:
 
         jobs = [replace(job, scale=float(grid["scale"])) for job in jobs]
     return jobs
-
-
-def summary_to_dict(summary: RunSummary) -> Dict[str, Any]:
-    """The GET result body: the cache's own JSON shape.
-
-    Mirrors :meth:`repro.orchestrate.ResultCache.store` — host
-    provenance stripped, unset telemetry fields omitted — so fetching
-    over HTTP returns exactly the bytes-equivalent payload a local
-    ``.repro-cache`` read would.
-    """
-    data = asdict(summary)
-    data.pop("host", None)
-    for optional in ("intervals", "telemetry"):
-        if data.get(optional) is None:
-            data.pop(optional, None)
-    return data

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from ..errors import ConfigurationError
-
 #: working set fits in the core caches (L1/L2).
 CATEGORY_CCF = "CCF"
 #: working set fits in the last-level cache.
@@ -32,11 +30,3 @@ def mix_category(apps) -> str:
     needs no back-parsing of workload names.
     """
     return "+".join(sorted(category_of(app) for app in apps))
-
-
-def validate_category(category: str) -> str:
-    if category not in CATEGORIES:
-        raise ConfigurationError(
-            f"unknown category {category!r}; expected one of {CATEGORIES}"
-        )
-    return category

@@ -1,6 +1,6 @@
 """The determinism sink: builds the run summary.
 
-File-local lint sees nothing wrong in this module — the wall-clock
+The file-local CS rules see nothing wrong in this module — the wall-clock
 read lives in ``clock.py`` and only the whole-program taint pass
 connects it to the ``RunSummary`` construction below.
 """

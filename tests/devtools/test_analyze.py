@@ -1,13 +1,15 @@
-"""Tests for ReproCheck, the whole-program analyzer.
+"""Tests for ReproCheck, the static analyzer.
 
 The claims, in order: every bad-example fixture triggers exactly its
-rule; the shipped tree is clean against the checked-in baseline; the
-baseline round-trips (``--update-baseline`` then ``analyze`` exits 0)
-and preserves justifications; the analyzer sees interprocedural flows
-the file-local lint cannot (cross-module wall-clock -> RunSummary,
-unpicklable worker payloads); inline ``# repro: allow[...]`` escapes
-work; baseline drift is fatal; and the CLI communicates all of it
-through exit codes and ``--json``.
+rule (plus the CS hygiene findings its source lines carry); the
+shipped tree is clean against the checked-in baseline; the baseline
+round-trips (``--update-baseline`` then ``analyze`` exits 0) and
+preserves justifications; the whole-program passes see
+interprocedural flows the file-local CS rules cannot (cross-module
+wall-clock -> RunSummary, unpicklable worker payloads); inline
+``# repro: allow[...]`` escapes work; baseline drift is fatal; and
+the CLI communicates all of it through exit codes and ``--json``.
+The CS rules themselves are pinned in ``test_lint.py``.
 """
 
 from __future__ import annotations
@@ -25,7 +27,6 @@ from repro.devtools.analyze import (
     main,
     update_baseline,
 )
-from repro.devtools.lint import check_file
 from repro.devtools.rules import RULES, load_baseline
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
@@ -47,28 +48,39 @@ FIXTURE_RULES = [
     ("hx3_try", "HX3"),
 ]
 
+#: CS findings a fixture also carries, as (path, line, rule): the DX1
+#: and DX2 sources are a wall-clock read and an unseeded draw, which
+#: CS3 and CS2 gate wherever they appear.
+FIXTURE_CS = {
+    "dx1_wall_clock": [("dx1_wall_clock/clock.py", 7, "CS3")],
+    "dx2_rng": [("dx2_rng/draws.py", 9, "CS2")],
+}
 
-def _fixture_findings(package: str):
-    report = analyze_paths([FIXTURES / package], baseline_path=None)
+
+def _fixture_findings(package: str, select=None):
+    report = analyze_paths([FIXTURES / package], baseline_path=None, select=select)
     return report.findings
 
 
 @pytest.mark.parametrize("package,rule", FIXTURE_RULES)
 def test_fixture_triggers_exactly_its_rule(package, rule):
     findings = _fixture_findings(package)
-    assert findings, f"{package} produced no findings"
-    assert {f.rule for f in findings} == {rule}, "\n".join(
+    family = [f for f in findings if not f.rule.startswith("CS")]
+    assert family, f"{package} produced no findings"
+    assert {f.rule for f in family} == {rule}, "\n".join(
         str(f) for f in findings
     )
+    assert _fixture_findings(package, select=[rule[:2]]) == family
+    hygiene = [(f.path, f.line, f.rule) for f in findings if f.rule.startswith("CS")]
+    assert hygiene == FIXTURE_CS.get(package, [])
 
 
 def test_every_analyze_rule_has_a_fixture():
     covered = {rule for _, rule in FIXTURE_RULES}
-    analyze_rules = {
-        rule for rule in RULES if rule[:2] in {"DX", "PX", "HX"}
-    }
+    # CS1-CS4 share the cs_hygiene fixture (pinned in test_lint.py).
+    covered |= {f.rule for f in _fixture_findings("cs_hygiene")}
     # DX0 (parse failure) is exercised by test_syntax_error_is_dx0.
-    assert analyze_rules - {"DX0"} == covered
+    assert set(RULES) - {"DX0"} == covered
 
 
 def test_shipped_tree_is_clean_against_baseline():
@@ -104,11 +116,12 @@ def test_baseline_round_trip(tmp_path):
 
 
 def test_cross_module_flow_is_invisible_to_lint():
-    """The acceptance demo: lint on the sink module sees nothing, the
-    whole-program pass reports the wall-clock -> RunSummary flow."""
+    """The acceptance demo: the file-local CS rules see nothing in the
+    sink module, the whole-program pass reports the wall-clock ->
+    RunSummary flow."""
     sink = FIXTURES / "dx1_wall_clock" / "sink.py"
-    assert check_file(sink) == []
-    findings = _fixture_findings("dx1_wall_clock")
+    assert analyze_paths([sink], baseline_path=None, select=["CS"]).findings == []
+    findings = _fixture_findings("dx1_wall_clock", select=["DX"])
     assert len(findings) == 1
     finding = findings[0]
     assert finding.rule == "DX1"
@@ -234,7 +247,8 @@ def test_cli_json_output():
     result = _run_cli(str(FIXTURES / "dx2_rng"), "--no-baseline", "--json")
     assert result.returncode == 1
     payload = json.loads(result.stdout)
-    assert [f["rule"] for f in payload["findings"]] == ["DX2"]
+    # the unseeded draw is a CS2 site, and it reaches job_key (DX2)
+    assert [f["rule"] for f in payload["findings"]] == ["CS2", "DX2"]
     assert payload["modules"] == 2  # __init__ + draws
     assert payload["elapsed_s"] >= 0
 

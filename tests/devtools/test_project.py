@@ -1,8 +1,7 @@
 """Tests for the shared one-parse project layer.
 
-Covers the parse cache (lint and analyze in one process parse each
-file exactly once), module naming/zoning, the import and call graphs
-over the analyze fixtures, and inline-marker parsing.
+Covers module naming/zoning, the import and call graphs over the
+analyze fixtures, and inline-marker parsing.
 """
 
 from __future__ import annotations
@@ -11,39 +10,9 @@ from pathlib import Path
 
 import repro
 from repro.devtools import project
-from repro.devtools.analyze import analyze_paths
-from repro.devtools.lint import run_lint
 
 REPRO_PACKAGE = Path(repro.__file__).parent
 FIXTURES = Path(__file__).parent / "fixtures" / "analyze"
-
-
-def test_lint_and_analyze_share_one_parse():
-    project.clear_cache()
-    before = project.cache_stats()
-    run_lint()
-    after_lint = project.cache_stats()
-    parsed = after_lint["misses"] - before["misses"]
-    assert parsed > 0
-    analyze_paths(baseline_path=None)
-    after_analyze = project.cache_stats()
-    assert after_analyze["misses"] == after_lint["misses"], (
-        "analyze re-parsed files lint already parsed"
-    )
-    assert after_analyze["hits"] >= after_lint["hits"] + parsed
-
-
-def test_reparse_only_on_change(tmp_path):
-    module = tmp_path / "m.py"
-    module.write_text("x = 1\n")
-    project.clear_cache()
-    project.parse_module(module)
-    misses = project.cache_stats()["misses"]
-    project.parse_module(module)
-    assert project.cache_stats()["misses"] == misses
-    module.write_text("x = 2\n")
-    project.parse_module(module)
-    assert project.cache_stats()["misses"] == misses + 1
 
 
 def test_zone_and_module_name():

@@ -248,6 +248,18 @@ class TestLongitudinal:
         # Mixing a file with a directory is an operand error.
         assert eval_main(["longitudinal", str(old), str(directory)]) == 2
 
+    def test_cli_longitudinal_unreadable_operand_exits_2(self, tmp_path):
+        """An operand that is missing or not a bench artifact is a
+        usage error (2, as ``repro.perf compare``), not a regression."""
+        bench = tmp_path / "bench.json"
+        bench.write_text(json.dumps(bench_doc(s=100.0)))
+        missing = tmp_path / "missing.json"
+        assert eval_main(["longitudinal", str(missing), str(bench)]) == 2
+        assert eval_main(["longitudinal", str(bench), str(missing)]) == 2
+        not_bench = tmp_path / "not-bench.json"
+        not_bench.write_text(json.dumps({"workloads": []}))
+        assert eval_main(["longitudinal", str(not_bench), str(bench)]) == 2
+
 
 class TestWriteReport:
     def test_writes_both_artefacts(self, records, tmp_path):
