@@ -42,7 +42,6 @@ from .config import (
 )
 from .errors import (
     ConfigurationError,
-    ExclusionViolationError,
     ExperimentError,
     InclusionViolationError,
     ReproError,
@@ -95,7 +94,6 @@ __all__ = [
     "tla_preset",
     # errors
     "ConfigurationError",
-    "ExclusionViolationError",
     "ExperimentError",
     "InclusionViolationError",
     "ReproError",

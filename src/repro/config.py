@@ -226,10 +226,6 @@ class SanitizeConfig:
     :class:`~repro.errors.SanitizerError` on the first violating scan;
     ``fail_fast=False`` collects violations for a post-run report.
 
-    ``checkers`` selects checkers by registry name
-    (:data:`repro.sanitize.CHECKERS`); empty means every checker that
-    applies to the hierarchy mode.
-
     The ``REPRO_SANITIZE`` environment variable overrides ``enabled``
     for a whole process (``1`` forces sanitizing on, ``0`` forces it
     off), so the entire test suite can run sanitized unmodified.
@@ -238,7 +234,6 @@ class SanitizeConfig:
     enabled: bool = False
     interval: int = 64
     fail_fast: bool = True
-    checkers: Tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
         if self.interval <= 0:

@@ -139,21 +139,14 @@ class CMPSimulator:
         if phase_timer is not None and phase_timer.enabled:
             self.hierarchy.phase_timer = phase_timer
 
-    def run(self, check_invariants_every: int = 0) -> SimResult:
+    def run(self) -> SimResult:
         """Run until every core completes its quota; returns results.
 
         Each core is advanced through one burst driver for the whole
         run (``SimulatedCore.burst_driver``: the bare loop, or the
         probed loop when a sanitizer, telemetry, a phase timer or a
-        prefetcher is attached), resumed once per burst.
-
-        Args:
-            check_invariants_every: if positive, call the hierarchy's
-                structural invariant check at the first burst boundary
-                at or after every multiple of N steps, and once at the
-                end (slow; for tests).  The check only reads state and
-                the bursts stay the same length, so checked and
-                unchecked runs simulate identically.
+        prefetcher is attached), resumed once per burst.  An attached
+        sanitizer scans once more after the last access.
         """
         # ``active`` cores still have trace left to execute; ``remaining``
         # counts cores that have not yet finished their quota.  Cores
@@ -168,7 +161,6 @@ class CMPSimulator:
         remaining = sum(1 for core in self.cores if not core.done)
         burst = 8
         steps = 0
-        next_check = check_invariants_every
         timer = self.phase_timer
         wall_start = time.perf_counter()
         # One burst driver per core for the whole run (its bare or its
@@ -204,21 +196,13 @@ class CMPSimulator:
                         raise SimulationError(
                             "all traces exhausted before every quota was met"
                         )
-                if check_invariants_every and steps >= next_check:
-                    self.hierarchy.check_invariants()
-                    next_check = (
-                        steps - steps % check_invariants_every
-                        + check_invariants_every
-                    )
         finally:
             for driver in drivers.values():
                 driver.close()
         if timer is not None:
             timer.exit()
-        if check_invariants_every:
-            self.hierarchy.check_invariants()
         if self.hierarchy.sanitizer is not None:
-            self.hierarchy.sanitizer.final_check()
+            self.hierarchy.sanitizer.run()
         result = self._collect()
         result.host = self._host_digest(
             time.perf_counter() - wall_start, steps
@@ -275,9 +259,7 @@ def _core_clock(core: SimulatedCore) -> float:
 def run_simulation(
     config: SimConfig,
     traces: Sequence[Iterator[TraceRecord]],
-    check_invariants_every: int = 0,
     telemetry: Optional[TelemetryConfig] = None,
 ) -> SimResult:
     """One-shot convenience wrapper around :class:`CMPSimulator`."""
-    simulator = CMPSimulator(config, traces, telemetry=telemetry)
-    return simulator.run(check_invariants_every)
+    return CMPSimulator(config, traces, telemetry=telemetry).run()

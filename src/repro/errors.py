@@ -42,10 +42,6 @@ class InclusionViolationError(SimulationError):
     """A line was found in a core cache but not in an inclusive LLC."""
 
 
-class ExclusionViolationError(SimulationError):
-    """A line was duplicated between levels of an exclusive hierarchy."""
-
-
 class TraceError(ReproError):
     """A trace record or trace file could not be parsed or generated."""
 

@@ -9,7 +9,7 @@ memoized) server-side.
 
 The dedup contract: the client resolves run requests into fully
 explicit :class:`~repro.orchestrate.SimJob` objects with the *same*
-``_build_job`` the local path uses, serialises their identity knobs
+``build_job`` the local path uses, serialises their identity knobs
 with :func:`~repro.service.schemas.job_to_dict`, and the server
 reconstructs jobs whose :func:`~repro.orchestrate.job_key` matches the
 client's.  Results fetched back are the cache's own JSON shape, so the
@@ -41,7 +41,7 @@ from ..orchestrate import ResultCache, RunSummary, SimJob, job_key
 from ..service.broker import SWEEP_RUNNING
 from ..service.schemas import job_to_dict
 from ..telemetry import get_logger
-from .runner import Runner, _build_job
+from .runner import Runner, build_job
 
 log = get_logger("repro.experiments.remote")
 
@@ -191,7 +191,7 @@ class RemoteRunner(Runner):
         intervals=None,
     ) -> RunSummary:
         job = _wire_job(
-            _build_job(
+            build_job(
                 self.settings, mix, mode, tla, llc_bytes, tla_config,
                 quota, warmup, victim_cache_entries, intervals,
             )
@@ -211,7 +211,7 @@ class RemoteRunner(Runner):
                     "run_many request needs a 'mix' entry"
                 ) from None
             sim_jobs.append(
-                _wire_job(_build_job(self.settings, mix, **request))
+                _wire_job(build_job(self.settings, mix, **request))
             )
         return self._run_remote(sim_jobs)
 

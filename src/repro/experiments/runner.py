@@ -187,11 +187,6 @@ def build_job(
     )
 
 
-#: backwards-compatible alias — ``build_job`` became public when
-#: :mod:`repro.eval` started resolving sweep coordinates to job keys.
-_build_job = build_job
-
-
 class Runner:
     """Executes and caches (mix x machine-variant) simulations."""
 

@@ -173,10 +173,6 @@ class BaseHierarchy:
         self.sanitizer = sanitizer
         sanitizer.attach(self)
 
-    def detach_sanitizer(self) -> None:
-        """Remove any attached sanitizer (the audit hook goes dormant)."""
-        self.sanitizer = None
-
     # -- main demand path --------------------------------------------------------
     def access(
         self,
@@ -472,9 +468,18 @@ class BaseHierarchy:
                 return True
         return False
 
-    # -- invariant checks (tests call these) ---------------------------------------------
+    # -- one-shot invariant audit -------------------------------------------------------
     def check_invariants(self) -> None:
-        """Raise if the mode's structural invariant is violated."""
+        """Run every CacheSan checker that applies to this mode, once.
+
+        A fresh fail-fast sanitizer is bound to the hierarchy but not
+        installed in :attr:`sanitizer`, so an attached one keeps its
+        sampling clock.  Raises :class:`~repro.errors.SanitizerError`
+        naming each violation's checker and coordinates.
+        """
+        audit = HierarchySanitizer()
+        audit.attach(self)
+        audit.run()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<{type(self).__name__} cores={self.num_cores} llc={self.llc!r}>"

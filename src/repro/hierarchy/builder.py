@@ -16,7 +16,7 @@ _MODES = {
 }
 
 
-def build_hierarchy(config: HierarchyConfig, sanitize=None) -> BaseHierarchy:
+def build_hierarchy(config: HierarchyConfig) -> BaseHierarchy:
     """Build the controller for ``config.mode`` and attach its TLA policy.
 
     TLA policies only make sense where victim selection causes
@@ -24,12 +24,6 @@ def build_hierarchy(config: HierarchyConfig, sanitize=None) -> BaseHierarchy:
     non-inclusive baseline too (Figure 9b) to show the gains vanish —
     so any mode/policy combination is allowed except exclusive+TLA,
     where the LLC-miss fill path the policies hook does not exist.
-
-    ``sanitize`` overrides ``config.sanitize`` *and* ``REPRO_SANITIZE``
-    for this hierarchy: pass ``True``/``False``, a
-    :class:`~repro.config.SanitizeConfig`, or a ready
-    :class:`~repro.sanitize.HierarchySanitizer` (see
-    :func:`repro.sanitize.coerce_sanitizer`).
     """
     try:
         hierarchy_cls = _MODES[config.mode]
@@ -48,12 +42,4 @@ def build_hierarchy(config: HierarchyConfig, sanitize=None) -> BaseHierarchy:
         from ..core import make_tla_policy
 
         hierarchy.attach_tla(make_tla_policy(config.tla))
-    if sanitize is not None:
-        from ..sanitize import coerce_sanitizer
-
-        sanitizer = coerce_sanitizer(sanitize)
-        if sanitizer is None:
-            hierarchy.detach_sanitizer()
-        else:
-            hierarchy.attach_sanitizer(sanitizer)
     return hierarchy

@@ -20,7 +20,6 @@ from typing import Optional
 
 from ..cache import EvictedLine
 from ..coherence import MessageType
-from ..errors import ExclusionViolationError
 from ..telemetry.events import EVENT_LLC_MISS
 from .base import HIT_LLC, HIT_MEMORY, BaseHierarchy, CoreAccessStats
 from .levels import CoreCaches
@@ -73,18 +72,3 @@ class ExclusiveHierarchy(BaseHierarchy):
         if dropped is not None:
             dirty = dirty or dropped.dirty
         super()._spill_to_l2(core, EvictedLine(victim.line_addr, dirty))
-
-    def check_invariants(self) -> None:
-        """No line may be resident in both an L2 and the LLC.
-
-        (An L1 copy may transiently coexist with an LLC copy when the
-        L2 evicts a line the L1 still holds; real exclusive designs
-        tolerate the same overlap, so only the L2/LLC pair is checked.)
-        """
-        for core in self.cores:
-            for line_addr in core.l2.resident_lines():
-                if self.llc.contains(line_addr):
-                    raise ExclusionViolationError(
-                        f"line {line_addr:#x} resident in both core "
-                        f"{core.core_id}'s L2 and the exclusive LLC"
-                    )

@@ -41,14 +41,3 @@ class InclusiveHierarchy(BaseHierarchy):
                 f"dirty L2 victim {victim.line_addr:#x} absent from inclusive LLC"
             )
         self.traffic.record(MessageType.WRITEBACK)
-
-    def check_invariants(self) -> None:
-        """Every core-cache-resident line must be LLC-resident."""
-        for core in self.cores:
-            for line_addr in core.resident_lines():
-                if not self.llc.contains(line_addr):
-                    raise InclusionViolationError(
-                        f"core {core.core_id} holds {line_addr:#x} "
-                        f"(in {core.holding_kinds(line_addr)}) but the "
-                        "inclusive LLC does not"
-                    )

@@ -1,11 +1,12 @@
 """CacheSan: runtime invariant sanitizers for cache hierarchies.
 
-Attach a :class:`HierarchySanitizer` to any hierarchy (via
-``build_hierarchy(..., sanitize=...)``, a
-:class:`~repro.config.SanitizeConfig`, or ``REPRO_SANITIZE=1``) and it
-audits the full tag/directory/counter state every ``interval``
-accesses, raising :class:`~repro.errors.SanitizerError` with exact
-set/way/line-address coordinates on the first corruption it finds.
+A :class:`HierarchySanitizer` attached to a hierarchy (switched on by
+:class:`~repro.config.SanitizeConfig` or ``REPRO_SANITIZE=1``, or
+installed with ``attach_sanitizer``) audits the full
+tag/directory/counter state every ``interval`` accesses, raising
+:class:`~repro.errors.SanitizerError` with exact set/way/line-address
+coordinates on the first corruption it finds.  ``check_invariants()``
+on any hierarchy runs the same audit once.
 """
 
 from .base import (
@@ -13,12 +14,10 @@ from .base import (
     HierarchySanitizer,
     InvariantChecker,
     Violation,
-    coerce_sanitizer,
     env_override,
     sanitizer_from_config,
 )
 from .checkers import (
-    CHECKERS,
     DirectoryConsistencyChecker,
     DuplicateLineChecker,
     ExclusionChecker,
@@ -26,7 +25,6 @@ from .checkers import (
     MSHRLeakChecker,
     ReplacementMetadataChecker,
     StatsConservationChecker,
-    default_checkers,
 )
 
 __all__ = [
@@ -34,11 +32,8 @@ __all__ = [
     "HierarchySanitizer",
     "InvariantChecker",
     "Violation",
-    "coerce_sanitizer",
     "env_override",
     "sanitizer_from_config",
-    "CHECKERS",
-    "default_checkers",
     "InclusionChecker",
     "ExclusionChecker",
     "DuplicateLineChecker",

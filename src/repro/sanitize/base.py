@@ -19,11 +19,12 @@ just come out wrong.  CacheSan makes the invariants mechanical:
   the first violating scan, ``fail_fast=False`` collects violations
   for a post-run :meth:`HierarchySanitizer.report`.
 
-Enable it per hierarchy through
-:class:`~repro.config.SanitizeConfig`, per call through
-``build_hierarchy(..., sanitize=...)``, or process-wide through
-``REPRO_SANITIZE=1`` (which lets the entire test suite run sanitized
-unmodified).
+Sanitizing is switched on per hierarchy by ``HierarchyConfig.sanitize``,
+which ``REPRO_SANITIZE`` overrides for a whole process (so the entire
+test suite can run sanitized unmodified); a test that needs one
+particular sanitizer calls ``BaseHierarchy.attach_sanitizer``.
+``BaseHierarchy.check_invariants()`` is the same audit run once, by a
+fresh fail-fast sanitizer.
 """
 
 from __future__ import annotations
@@ -76,7 +77,7 @@ class Violation:
 class InvariantChecker:
     """One structural property of a hierarchy, checked on demand.
 
-    Subclasses set :attr:`name` (the registry key), override
+    Subclasses set :attr:`name` (the label violations carry), override
     :meth:`applies_to` to opt out of hierarchy modes where the
     property does not hold, and implement :meth:`check`, which must
     inspect state without mutating it.
@@ -107,7 +108,10 @@ class HierarchySanitizer:
     (done automatically when the hierarchy's
     :class:`~repro.config.SanitizeConfig` or ``REPRO_SANITIZE`` enables
     sanitizing).  The hierarchy calls :meth:`on_access` once per demand
-    access; every ``interval``-th call triggers a full scan.
+    access; every ``interval``-th call triggers a full scan, and
+    :class:`~repro.cpu.CMPSimulator` runs one more at the end of a run.
+    ``checkers`` defaults to one of every checker; :meth:`attach` keeps
+    those that apply to the hierarchy's mode.
     """
 
     def __init__(
@@ -116,9 +120,9 @@ class HierarchySanitizer:
         checkers: Optional[Sequence[InvariantChecker]] = None,
     ) -> None:
         if checkers is None:
-            from .checkers import default_checkers
+            from .checkers import every_checker
 
-            checkers = default_checkers(config.checkers)
+            checkers = every_checker()
         self.config = config
         self.all_checkers: List[InvariantChecker] = list(checkers)
         for checker in self.all_checkers:
@@ -170,10 +174,6 @@ class HierarchySanitizer:
             self.violations.extend(found)
         return found
 
-    def final_check(self) -> List[Violation]:
-        """End-of-run scan (CMPSimulator calls this after the last access)."""
-        return self.run()
-
     def _format(self, violations: List[Violation]) -> str:
         lines = [
             f"CacheSan: {len(violations)} invariant violation(s) after "
@@ -216,23 +216,3 @@ def sanitizer_from_config(
     if not env_override(config.enabled):
         return None
     return HierarchySanitizer(config)
-
-
-def coerce_sanitizer(value: object) -> Optional[HierarchySanitizer]:
-    """Normalise a ``build_hierarchy(..., sanitize=...)`` argument.
-
-    Accepts ``True``/``False``, a :class:`~repro.config.SanitizeConfig`,
-    or a ready :class:`HierarchySanitizer`; returns the sanitizer to
-    attach (None to detach).  Unlike :func:`sanitizer_from_config`
-    this is an *explicit* request, so the env var does not override it.
-    """
-    if isinstance(value, HierarchySanitizer):
-        return value
-    if isinstance(value, SanitizeConfig):
-        return HierarchySanitizer(value) if value.enabled else None
-    if isinstance(value, bool):
-        return HierarchySanitizer() if value else None
-    raise TypeError(
-        f"sanitize must be a bool, SanitizeConfig or HierarchySanitizer, "
-        f"got {type(value).__name__}"
-    )

@@ -6,19 +6,18 @@ metadata, the sharer directory and the stats counters, and report
 :class:`~repro.sanitize.base.Violation` records with exact
 set/way/line-address coordinates.
 
-Registry: :data:`CHECKERS` maps names (usable in
-``SanitizeConfig.checkers``) to classes; :func:`default_checkers`
-instantiates a selection.
+:func:`every_checker` builds one of each, the set a
+:class:`~repro.sanitize.base.HierarchySanitizer` runs by default.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterable, List, Sequence, Tuple
+from typing import TYPE_CHECKING, Iterable, List, Tuple
 
 from ..cache import Cache
 from ..cache.replacement.base import ReplacementPolicy
 from ..coherence import MessageType
-from ..errors import ConfigurationError, SimulationError
+from ..errors import SimulationError
 from ..metrics.stats import counter_conservation
 from .base import InvariantChecker, Violation
 
@@ -71,10 +70,9 @@ class InclusionChecker(InvariantChecker):
 class ExclusionChecker(InvariantChecker):
     """No line may live in both an L2 and an exclusive LLC.
 
-    L1/LLC overlap is tolerated, exactly as in
-    :meth:`ExclusiveHierarchy.check_invariants`: an L2 can evict a line
-    to the LLC while an L1 still holds it, and real exclusive designs
-    accept the same transient.
+    L1/LLC overlap is tolerated: an L2 can evict a line to the LLC
+    while an L1 still holds it, and real exclusive designs accept the
+    same transient.
     """
 
     name = "exclusion"
@@ -370,33 +368,19 @@ class StatsConservationChecker(InvariantChecker):
         return violations
 
 
-#: registry of every checker, keyed by its ``name``.
-CHECKERS = {
-    checker.name: checker
-    for checker in (
-        InclusionChecker,
-        ExclusionChecker,
-        DuplicateLineChecker,
-        ReplacementMetadataChecker,
-        MSHRLeakChecker,
-        DirectoryConsistencyChecker,
-        StatsConservationChecker,
-    )
-}
-
-
-def default_checkers(names: Sequence[str] = ()) -> List[InvariantChecker]:
-    """Instantiate the named checkers (all of them when ``names`` is empty).
+def every_checker() -> List[InvariantChecker]:
+    """One fresh instance of every checker.
 
     Mode filtering happens later, at
     :meth:`HierarchySanitizer.attach`, via each checker's
     :meth:`~InvariantChecker.applies_to`.
     """
-    if not names:
-        return [checker_cls() for checker_cls in CHECKERS.values()]
-    unknown = sorted(set(names) - set(CHECKERS))
-    if unknown:
-        raise ConfigurationError(
-            f"unknown sanitize checkers {unknown}; known: {sorted(CHECKERS)}"
-        )
-    return [CHECKERS[name]() for name in names]
+    return [
+        InclusionChecker(),
+        ExclusionChecker(),
+        DuplicateLineChecker(),
+        ReplacementMetadataChecker(),
+        MSHRLeakChecker(),
+        DirectoryConsistencyChecker(),
+        StatsConservationChecker(),
+    ]

@@ -190,7 +190,7 @@ def expand_spec(spec: Any, settings=None) -> List[SimJob]:
 
 
 def _expand_grid(grid: Dict[str, Any], settings) -> List[SimJob]:
-    from ..experiments.runner import ExperimentSettings, _build_job
+    from ..experiments.runner import ExperimentSettings, build_job
 
     if settings is None:
         settings = ExperimentSettings()
@@ -211,7 +211,7 @@ def _expand_grid(grid: Dict[str, Any], settings) -> List[SimJob]:
         for mode in grid.get("modes", ["inclusive"]):
             for tla in tlas:
                 jobs.append(
-                    _build_job(
+                    build_job(
                         settings,
                         known[name],
                         mode=mode,

@@ -1,13 +1,15 @@
 """Integration tests for the CMP simulator (cores + hierarchy + timing)."""
 
+import dataclasses
 import itertools
 
 import pytest
 
 from repro.access import AccessType
+from repro.config import SanitizeConfig
 from repro.cpu import CMPSimulator
 from repro.cpu.cmp import run_simulation
-from repro.errors import SimulationError
+from repro.errors import SanitizerError, SimulationError
 from repro.sanitize import ENV_VAR as SANITIZE_ENV_VAR
 from repro.telemetry import TelemetryConfig
 from repro.workloads import TraceRecord
@@ -203,26 +205,33 @@ class TestResultShape:
         assert once() == once()
 
 
+def sanitized(config, interval):
+    """``config`` with CacheSan scanning every ``interval`` accesses."""
+    return dataclasses.replace(
+        config,
+        hierarchy=dataclasses.replace(
+            config.hierarchy,
+            sanitize=SanitizeConfig(enabled=True, interval=interval),
+        ),
+    )
+
+
 class TestInvariantChecking:
     def test_run_with_invariant_checks(self):
-        """check_invariants_every exercises the paranoid path."""
-        config = tiny_sim_config(num_cores=2, quota=1_500)
+        """A sanitized run audits the hierarchy every 100 accesses."""
+        config = sanitized(tiny_sim_config(num_cores=2, quota=1_500), 100)
         traces = [looping_trace(64), strided_trace(64, base_address=1 << 30)]
-        result = CMPSimulator(config, traces).run(check_invariants_every=100)
+        result = CMPSimulator(config, traces).run()
         assert result.cores[0].instructions == 1_500
 
     def test_invariant_checks_catch_corruption(self):
         """Manually corrupting inclusion must be detected."""
-        from repro.errors import InclusionViolationError
-
-        config = tiny_sim_config(num_cores=1, quota=10_000)
+        config = sanitized(tiny_sim_config(num_cores=1, quota=10_000), 10)
         sim = CMPSimulator(config, [looping_trace(8)])
         for _ in range(50):
             sim.cores[0].step()
         # Corrupt: drop a line from the LLC while the L1 keeps it.
         resident = next(iter(sim.hierarchy.cores[0].l1d.resident_lines()))
         sim.hierarchy.llc.invalidate(resident)
-        import pytest as _pytest
-
-        with _pytest.raises(InclusionViolationError):
+        with pytest.raises(SanitizerError, match="inclusion"):
             sim.hierarchy.check_invariants()

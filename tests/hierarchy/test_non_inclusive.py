@@ -81,7 +81,7 @@ class TestDirtyDataSafety:
                 addr(rng.randrange(200)),
                 rng.choice(list(AccessType)),
             )
-        h.check_invariants()  # no-op for non-inclusive, must not raise
+        h.check_invariants()  # tag-map, replacement, directory, counters
 
 
 class TestEquivalenceWithInclusiveOnSmallWorkingSets:

@@ -267,14 +267,19 @@ class TestBusCrashSafety:
         killed = {}
 
         def assassin():
+            # Kill the lease holder only once it is inside execute(),
+            # i.e. has recorded attempt 1: killed any earlier, its retry
+            # would count as attempt 1 and sleep the whole hang.
             end = time.monotonic() + 60.0
             while time.monotonic() < end:
                 try:
                     pid = json.loads(lease.read_text("utf-8"))["pid"]
+                    started = attempt_count(tmp_path, hang) >= 1
                 except (OSError, ValueError, KeyError):
+                    started = False  # ValueError: a file mid-rewrite
+                if not started:
                     time.sleep(0.05)
                     continue
-                time.sleep(0.3)  # let the worker get inside execute()
                 os.kill(pid, signal.SIGKILL)
                 killed["pid"] = pid
                 return

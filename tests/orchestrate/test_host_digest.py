@@ -94,11 +94,11 @@ class TestDigestStaysOutOfTheCache:
 
 class TestJobKeyStability:
     def test_host_phases_flag_does_not_change_the_key(self, tmp_path):
-        from repro.experiments.runner import _build_job
+        from repro.experiments.runner import build_job
 
         request = requests()[0]
-        plain = _build_job(settings(tmp_path, "keys"), **request)
-        phased = _build_job(
+        plain = build_job(settings(tmp_path, "keys"), **request)
+        phased = build_job(
             settings(tmp_path, "keys", host_phases=True), **request
         )
         assert plain.host_phases is False

@@ -4,7 +4,7 @@ import pickle
 
 from repro.config import TLAConfig
 from repro.experiments import ExperimentSettings, cache_key
-from repro.experiments.runner import _build_job
+from repro.experiments.runner import build_job
 from repro.orchestrate import SimJob, execute_job, job_key
 from repro.workloads import mix_by_name
 
@@ -31,7 +31,7 @@ class TestJobKey:
     def test_equals_runner_cache_key(self):
         settings = small_settings()
         mix = mix_by_name("MIX_05")
-        job = _build_job(settings, mix, mode="non_inclusive", tla="none")
+        job = build_job(settings, mix, mode="non_inclusive", tla="none")
         assert job_key(job) == cache_key(settings, mix, mode="non_inclusive")
 
     def test_distinguishes_every_field(self):
@@ -77,7 +77,7 @@ class TestExecuteJob:
         mix = mix_by_name("MIX_01")
         from repro.experiments import Runner
 
-        direct = execute_job(_build_job(settings, mix))
+        direct = execute_job(build_job(settings, mix))
         via_runner = Runner(settings).run(mix)
         assert direct.ipcs == via_runner.ipcs
         assert direct.traffic == via_runner.traffic

@@ -15,35 +15,22 @@ import pytest
 
 from repro.access import AccessType
 from repro.config import SanitizeConfig
-from repro.errors import ConfigurationError, SanitizerError
+from repro.errors import SanitizerError
 from repro.hierarchy import build_hierarchy
 from repro.hierarchy.inclusive import InclusiveHierarchy
-from repro.sanitize import (
-    CHECKERS,
-    HierarchySanitizer,
-    default_checkers,
-)
+from repro.sanitize import HierarchySanitizer, InclusionChecker
 
 from ..conftest import tiny_hierarchy
 
 LINE = 64
 
 
-def sanitized(
-    mode="inclusive",
-    interval=1,
-    fail_fast=True,
-    checkers=(),
-    **kw,
-):
+def sanitized(mode="inclusive", interval=1, fail_fast=True, **kw):
     """A tiny hierarchy with a fail-fast sanitizer attached."""
     config = dataclasses.replace(
         tiny_hierarchy(mode=mode, **kw),
         sanitize=SanitizeConfig(
-            enabled=True,
-            interval=interval,
-            fail_fast=fail_fast,
-            checkers=checkers,
+            enabled=True, interval=interval, fail_fast=fail_fast
         ),
     )
     return build_hierarchy(config)
@@ -59,7 +46,7 @@ def warm_up(hierarchy, accesses=600, cores=None):
 
 
 def test_checker_registry_is_complete():
-    assert set(CHECKERS) == {
+    assert {checker.name for checker in HierarchySanitizer().all_checkers} == {
         "inclusion",
         "exclusion",
         "duplicate-line",
@@ -68,13 +55,6 @@ def test_checker_registry_is_complete():
         "directory",
         "stats-conservation",
     }
-
-
-def test_default_checkers_selects_by_name():
-    selected = default_checkers(("inclusion", "directory"))
-    assert [checker.name for checker in selected] == ["inclusion", "directory"]
-    with pytest.raises(ConfigurationError, match="unknown sanitize checkers"):
-        default_checkers(("inclusion", "nonsense"))
 
 
 def test_mode_filtering_on_attach():
@@ -96,7 +76,7 @@ def test_clean_hierarchies_scan_clean():
     for mode in ("inclusive", "non_inclusive", "exclusive"):
         hierarchy = sanitized(mode=mode)
         warm_up(hierarchy)
-        assert hierarchy.sanitizer.final_check() == []
+        assert hierarchy.sanitizer.run() == []
         assert hierarchy.sanitizer.scans > 600
 
 
@@ -148,7 +128,7 @@ def test_missing_back_invalidate_is_caught_with_coordinates():
 def test_intact_back_invalidate_passes_the_same_workload():
     hierarchy = sanitized(interval=64)
     drive_hot_plus_stream(hierarchy)
-    assert hierarchy.sanitizer.final_check() == []
+    assert hierarchy.sanitizer.run() == []
 
 
 def test_collect_mode_reports_instead_of_raising():
@@ -271,7 +251,13 @@ def test_eci_window_zero_is_fully_strict():
     window to allow for."""
     # inclusion checker only: the surgical LLC invalidate below also
     # breaks directory consistency, which is not what this test probes.
-    hierarchy = sanitized(interval=10**9, checkers=("inclusion",))
+    hierarchy = build_hierarchy(tiny_hierarchy())
+    hierarchy.attach_sanitizer(
+        HierarchySanitizer(
+            SanitizeConfig(enabled=True, interval=10**9),
+            checkers=[InclusionChecker()],
+        )
+    )
     warm_up(hierarchy)
     victim = find_core_resident_llc_line(hierarchy)
     hierarchy.llc.invalidate(victim)

@@ -7,8 +7,8 @@ driven through hierarchies with a fail-fast sanitizer scanning after
 simulator does not actually maintain shows up here as a SanitizerError
 with a shrunk counterexample stream.
 
-Also pins the enablement plumbing: config, builder argument and the
-``REPRO_SANITIZE`` environment variable.
+Also pins the enablement plumbing: the config field and the
+``REPRO_SANITIZE`` environment variable that overrides it.
 """
 
 from __future__ import annotations
@@ -58,21 +58,21 @@ class TestSanitizedRandomTraces:
     def test_inclusive(self, stream, disjoint):
         h = sanitized_hierarchy("inclusive")
         drive(h, stream, disjoint)
-        assert h.sanitizer.final_check() == []
+        assert h.sanitizer.run() == []
 
     @given(stream=STREAM, disjoint=st.booleans())
     @settings(max_examples=30, deadline=None)
     def test_non_inclusive(self, stream, disjoint):
         h = sanitized_hierarchy("non_inclusive")
         drive(h, stream, disjoint)
-        assert h.sanitizer.final_check() == []
+        assert h.sanitizer.run() == []
 
     @given(stream=STREAM, disjoint=st.booleans())
     @settings(max_examples=30, deadline=None)
     def test_exclusive(self, stream, disjoint):
         h = sanitized_hierarchy("exclusive")
         drive(h, stream, disjoint)
-        assert h.sanitizer.final_check() == []
+        assert h.sanitizer.run() == []
 
     @given(stream=STREAM)
     @settings(max_examples=20, deadline=None)
@@ -84,7 +84,7 @@ class TestSanitizedRandomTraces:
         )
         h = build_hierarchy(config)
         drive(h, stream)
-        assert h.sanitizer.final_check() == []
+        assert h.sanitizer.run() == []
 
     @given(
         stream=STREAM,
@@ -96,7 +96,7 @@ class TestSanitizedRandomTraces:
 
         h = sanitized_hierarchy("inclusive", tla=tla_preset(tla))
         drive(h, stream)
-        assert h.sanitizer.final_check() == []
+        assert h.sanitizer.run() == []
 
 
 class TestEnablementPlumbing:
@@ -107,19 +107,6 @@ class TestEnablementPlumbing:
     def test_enabled_via_config(self):
         h = sanitized_hierarchy("inclusive")
         assert isinstance(h.sanitizer, HierarchySanitizer)
-
-    def test_builder_argument_wins(self):
-        h = build_hierarchy(tiny_hierarchy("inclusive"), sanitize=True)
-        assert h.sanitizer is not None
-        h = build_hierarchy(
-            tiny_hierarchy("inclusive"), sanitize=SanitizeConfig(enabled=True)
-        )
-        assert h.sanitizer is not None
-        # explicit False detaches even when the config enables it
-        config = dataclasses.replace(
-            tiny_hierarchy("inclusive"), sanitize=EVERY_ACCESS
-        )
-        assert build_hierarchy(config, sanitize=False).sanitizer is None
 
     def test_env_var_enables(self, monkeypatch):
         monkeypatch.setenv(ENV_VAR, "1")
@@ -132,11 +119,6 @@ class TestEnablementPlumbing:
             tiny_hierarchy("inclusive"), sanitize=EVERY_ACCESS
         )
         assert build_hierarchy(config).sanitizer is None
-
-    def test_env_var_does_not_override_builder_argument(self, monkeypatch):
-        monkeypatch.setenv(ENV_VAR, "0")
-        h = build_hierarchy(tiny_hierarchy("inclusive"), sanitize=True)
-        assert h.sanitizer is not None
 
     def test_simulator_registers_mshr_and_final_checks(self):
         from repro.cpu import CMPSimulator

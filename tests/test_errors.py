@@ -11,7 +11,6 @@ class TestHierarchyShape:
             "ConfigurationError",
             "SimulationError",
             "InclusionViolationError",
-            "ExclusionViolationError",
             "TraceError",
             "ExperimentError",
             "UnknownPolicyError",
@@ -21,7 +20,6 @@ class TestHierarchyShape:
 
     def test_violations_are_simulation_errors(self):
         assert issubclass(errors.InclusionViolationError, errors.SimulationError)
-        assert issubclass(errors.ExclusionViolationError, errors.SimulationError)
 
     def test_unknown_policy_is_configuration_error(self):
         assert issubclass(errors.UnknownPolicyError, errors.ConfigurationError)

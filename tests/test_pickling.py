@@ -33,7 +33,7 @@ def round_trip(obj):
         TimingConfig(),
         PrefetchConfig(enabled=True, kind="nextline"),
         TLAConfig(policy="qbs", levels=("il1", "dl1", "l2"), max_queries=2),
-        SanitizeConfig(enabled=True, checkers=("inclusion",)),
+        SanitizeConfig(enabled=True, interval=8, fail_fast=False),
         HierarchyConfig(),
         baseline_hierarchy(2, mode="non_inclusive", scale=0.0625),
         SimConfig(),

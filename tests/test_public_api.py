@@ -15,7 +15,6 @@ class TestPublicSurface:
         assert issubclass(repro.ConfigurationError, repro.ReproError)
         assert issubclass(repro.SimulationError, repro.ReproError)
         assert issubclass(repro.InclusionViolationError, repro.SimulationError)
-        assert issubclass(repro.ExclusionViolationError, repro.SimulationError)
         assert issubclass(repro.UnknownPolicyError, repro.ConfigurationError)
 
     def test_hit_level_ordering(self):

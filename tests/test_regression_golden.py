@@ -7,9 +7,11 @@ behaviour changed and every calibrated experiment should be re-baselined.
 Update the constants deliberately when that is intended.
 """
 
+import dataclasses
+
 import pytest
 
-from repro import CMPSimulator, SimConfig, baseline_hierarchy
+from repro import CMPSimulator, SanitizeConfig, SimConfig, baseline_hierarchy
 from repro.workloads import mix_by_name
 
 SCALE = 0.0625
@@ -63,17 +65,20 @@ class TestGoldenRun:
         assert again.traffic == golden_run.traffic
 
     def test_invariant_checks_do_not_perturb(self, golden_run):
-        """Periodic invariant checks keep the run's burst length, so
-        the cores interleave exactly as in the unchecked golden run."""
+        """Periodic CacheSan scans only read state, so the sanitized
+        run simulates exactly as the unchecked golden run."""
         reference = baseline_hierarchy(2, scale=SCALE)
         config = SimConfig(
-            hierarchy=baseline_hierarchy(2, scale=SCALE),
+            hierarchy=dataclasses.replace(
+                baseline_hierarchy(2, scale=SCALE),
+                sanitize=SanitizeConfig(enabled=True, interval=5_000),
+            ),
             instruction_quota=QUOTA,
             warmup_instructions=WARMUP,
         )
         checked = CMPSimulator(
             config, mix_by_name("MIX_10").traces(reference)
-        ).run(check_invariants_every=5_000)
+        ).run()
         assert checked.total_inclusion_victims == GOLDEN_VICTIMS
         assert checked.total_llc_misses == GOLDEN_LLC_MISSES
         assert checked.ipcs == golden_run.ipcs
