@@ -42,6 +42,7 @@ from ..errors import SimulationError
 from .line import EvictedLine
 from .replacement import ReplacementPolicy, make_policy
 from .replacement.lru import LRUPolicy
+from .replacement.nru import NRUPolicy
 
 
 class CacheArrayStats:
@@ -143,15 +144,17 @@ class Cache:
         # it touches (residency map, stamp and clock arrays, dirty
         # bitmap, stats object) is only ever mutated in place, so they
         # can be captured once instead of re-resolved per probe.  The
-        # class attribute stays ``Cache.access`` (the core's inline
-        # burst loop keys its fast-path gate on that identity) and the
         # generic method remains the behavioural reference.
+        #: the installed LRU ``access`` closure, or None.  The core's
+        #: bare loop inlines this closure's body, and runs only while
+        #: ``access`` is still this closure.
+        self._lru_access = None
         if (
             type(self).access is Cache.access
             and self._lru_hit_fast
             and not self._index_hash
         ):
-            self.access = self._make_lru_access()
+            self.access = self._lru_access = self._make_lru_access()
         # ``fill`` likewise, but only for plain LRU: LIP and MRU change
         # the insertion stamp and the victim choice.
         if (
@@ -160,6 +163,15 @@ class Cache:
             and not self._index_hash
         ):
             self.fill = self._make_lru_fill()
+        # ``promote`` likewise for the NRU LLC, which takes a TLH hint
+        # per core-cache hit: setting a reference bit is the whole
+        # policy update.
+        if (
+            type(self).promote is Cache.promote
+            and type(self.policy) is NRUPolicy
+            and not self._index_hash
+        ):
+            self.promote = self._make_nru_promote()
 
     # -- geometry helpers ---------------------------------------------------
     def set_index_of(self, line_addr: int) -> int:
@@ -304,6 +316,29 @@ class Cache:
         self.policy.promote(self.set_index_of(line_addr), way)
         self.stats.promotions += 1
         return True
+
+    def _make_nru_promote(self):
+        """Build the specialised promote closure (see __init__).
+
+        Semantically identical to :meth:`promote` for an un-hashed
+        cache under plain :class:`NRUPolicy`, whose promote is its hit
+        update: set the way's reference bit.
+        """
+        map_get = self._map.get
+        stats = self.stats
+        set_mask = self._set_mask
+        assoc = self.associativity
+        ref = self.policy._ref
+
+        def promote(line_addr: int) -> bool:
+            way = map_get(line_addr)
+            if way is None:
+                return False
+            ref[(line_addr & set_mask) * assoc + way] = 1
+            stats.promotions += 1
+            return True
+
+        return promote
 
     def set_dirty(self, line_addr: int) -> bool:
         """Mark a resident line dirty (e.g. a writeback landing here)."""

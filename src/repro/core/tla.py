@@ -2,7 +2,9 @@
 
 The hierarchy calls three hooks:
 
-* :meth:`on_core_cache_hit` — after every core-cache hit (TLH listens);
+* the callable :meth:`hit_hook` returns — after every core-cache hit
+  (TLH listens; the base class returns None, so hits cost one
+  ``is None`` test);
 * :meth:`select_llc_victim` — when the LLC needs a victim and no
   invalid way exists (QBS overrides);
 * :meth:`after_llc_miss_fill` — after an LLC miss fill completes
@@ -15,7 +17,7 @@ exactly the paper's baseline inclusive cache.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Callable, Optional
 
 from ..errors import SimulationError
 
@@ -41,6 +43,16 @@ class TLAPolicy:
         return self.hierarchy
 
     # -- hooks -----------------------------------------------------------------
+    def hit_hook(self) -> Optional[Callable[[int, str, int], None]]:
+        """The core-cache hit listener the hierarchy caches, or None.
+
+        Called once per :meth:`~repro.hierarchy.BaseHierarchy.attach_tla`.
+        A policy that listens to hits returns a callable with
+        :meth:`on_core_cache_hit`'s signature; the base class listens
+        to none.
+        """
+        return None
+
     def on_core_cache_hit(self, core_id: int, kind: str, line_addr: int) -> None:
         """A hit occurred in ``core_id``'s ``kind`` cache ("il1"/"dl1"/"l2")."""
 

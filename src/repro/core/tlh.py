@@ -18,12 +18,14 @@ TLH-L2 ``("l2",)``, TLH-L1-L2 ``("il1", "dl1", "l2")``.
 
 from __future__ import annotations
 
-from typing import FrozenSet, Iterable
+from typing import Callable, FrozenSet, Iterable
 
 from ..coherence import MessageType
 from ..errors import ConfigurationError
 from ..telemetry.events import EVENT_TLH_HINT
 from .tla import TLAPolicy
+
+_TLH_HINT = MessageType.TLH_HINT
 
 
 class TemporalLocalityHints(TLAPolicy):
@@ -58,6 +60,38 @@ class TemporalLocalityHints(TLAPolicy):
         self.hints_dropped = 0
         #: hints that found (and promoted) their line in the LLC.
         self.hints_applied = 0
+
+    def hit_hook(self) -> Callable[[int, str, int], None]:
+        """:meth:`on_core_cache_hit`, or one closure doing a plain hint.
+
+        Sampled and MRU-filtered TLH keep the method.  Plain TLH sends a
+        hint on every participating hit, about 600x the LLC request
+        rate for TLH-L1, so its hook does what the method does in one
+        call: count the message and the hint, emit the tracer event
+        when a tracer is attached, and promote the line in the LLC
+        (through ``Cache.promote``, which owns the LLC's counters).
+        """
+        if self.mru_filter or self.sample_rate < 1.0:
+            return self.on_core_cache_hit
+        hierarchy = self._require_hierarchy()
+        levels = self.levels
+        counts = hierarchy.traffic.counts
+        promote = hierarchy.llc.promote
+
+        def hint(core_id: int, kind: str, line_addr: int) -> None:
+            if kind not in levels:
+                return
+            counts[_TLH_HINT] += 1
+            self.hints_sent += 1
+            tracer = hierarchy.tracer
+            if tracer is not None:
+                tracer.emit(
+                    hierarchy.clock, EVENT_TLH_HINT, core=core_id, line=line_addr
+                )
+            if promote(line_addr):
+                self.hints_applied += 1
+
+        return hint
 
     def on_core_cache_hit(self, core_id: int, kind: str, line_addr: int) -> None:
         if kind not in self.levels:

@@ -11,7 +11,6 @@ from __future__ import annotations
 from typing import Generator, Iterator, Optional, Tuple
 
 from ..access import AccessType
-from ..cache import Cache
 from ..config import SimConfig
 from ..errors import SimulationError
 from ..hierarchy import HIT_LLC, BaseHierarchy
@@ -99,9 +98,11 @@ class SimulatedCore:
         """The core's resumable loop: bare, or probed if a probe is attached.
 
         Probes are the hierarchy's sanitizer, interval collector and
-        phase timer, this core's prefetcher, or subclassed
-        hierarchy/L1 ``access`` methods; with none of them the core
-        runs :meth:`_bare_loop`, otherwise :meth:`_probed_loop`.  This
+        phase timer, this core's prefetcher, or a subclassed hierarchy
+        ``access`` method.  The core runs :meth:`_bare_loop` when none
+        of them is present and both L1s still carry the LRU ``access``
+        closure whose body that loop inlines (stock LRU family,
+        un-hashed index); otherwise it runs :meth:`_probed_loop`.  This
         is the only place the choice is made.  Returns a primed
         generator: each ``send(stop_when_done)`` runs one burst of up
         to ``count`` records and yields ``(steps_executed,
@@ -121,14 +122,16 @@ class SimulatedCore:
         """
         hierarchy = self.hierarchy
         core = hierarchy.cores[self.core_id]
+        l1i = core.l1i
+        l1d = core.l1d
         if (
             hierarchy.sanitizer is None
             and hierarchy.collector is None
             and hierarchy.phase_timer is None
             and self.prefetcher is None
             and type(hierarchy).access is BaseHierarchy.access
-            and type(core.l1i).access is Cache.access
-            and type(core.l1d).access is Cache.access
+            and l1i.access is l1i._lru_access
+            and l1d.access is l1d._lru_access
         ):
             driver = self._bare_loop(core, count)
         else:
@@ -141,16 +144,19 @@ class SimulatedCore:
     ) -> Generator[Tuple[int, bool, bool], bool, None]:
         """Generator body of :meth:`burst_driver` (hot path).
 
-        The L1 probe and hit accounting happen right here, including
-        the TLA hit hook where ``BaseHierarchy.access`` calls it; only
-        L1 misses call into the hierarchy.  Instruction and cycle
-        counts live in locals, flushed to the timing model around every
-        out-of-frame call and at every yield, so observable state is
-        always consistent between bursts — and the float operations
-        (two adds when a gap is present, one otherwise) are performed in
-        exactly the order ``CoreTimingModel.step_account`` performs
-        them.  Only this core's own steps move its timing model, so the
-        locals stay valid while the generator is suspended.
+        The L1 probe happens right here: what ``Cache._make_lru_access``'s
+        closure does for L1I and L1D (residency-map get, recency-stamp
+        refresh with ``last_hit_was_mru``, dirty bit, hit/miss
+        counters) is inlined, as are the demand counters and the TLA hit
+        hook where ``BaseHierarchy.access`` calls it; only L1 misses
+        call into the hierarchy.  Instruction and cycle counts live in
+        locals, flushed to the timing model around every out-of-frame
+        call and at every yield, so observable state is always
+        consistent between bursts — and the float operations (two adds
+        when a gap is present, one otherwise) are performed in exactly
+        the order ``CoreTimingModel.step_account`` performs them.  Only
+        this core's own steps move its timing model, so the locals stay
+        valid while the generator is suspended.
         """
         hierarchy = self.hierarchy
         timing = self.timing
@@ -160,8 +166,25 @@ class SimulatedCore:
         step_account = timing.step_account
         core_id = self.core_id
         stats = hierarchy.core_stats[core_id]
-        l1i_access = core.l1i.access
-        l1d_access = core.l1d.access
+        # The L1 arrays the inlined probe touches; like the closure's
+        # captures, each is only ever mutated in place.
+        l1i = core.l1i
+        i_get = l1i._map_get
+        i_stats = l1i.stats
+        i_mask = l1i._set_mask
+        i_assoc = l1i.associativity
+        i_policy = l1i.policy
+        i_stamp = i_policy._stamp
+        i_clock = i_policy._clock
+        l1d = core.l1d
+        d_get = l1d._map_get
+        d_stats = l1d.stats
+        d_mask = l1d._set_mask
+        d_assoc = l1d.associativity
+        d_policy = l1d.policy
+        d_stamp = d_policy._stamp
+        d_clock = d_policy._clock
+        d_dirty = l1d._dirty
         line_shift = hierarchy.line_shift
         base_cpi = timing.timing.base_cpi
         warmup = self.warmup
@@ -169,6 +192,7 @@ class SimulatedCore:
         instructions = timing.instructions
         cycles = timing.cycles
         is_done = self._exhausted or instructions >= quota_end
+        before_warmup = self.cycles_at_warmup < 0
         stop_when_done = yield
         while True:
             executed = count
@@ -186,28 +210,52 @@ class SimulatedCore:
                 recording = warmup <= instructions < quota_end
                 line_addr = address >> line_shift
                 if kind is _IFETCH:
-                    is_ifetch = True
-                    is_write = False
                     if recording:
                         stats.l1i_accesses += 1
-                    hit = l1i_access(line_addr)
-                    if hit:
+                    way = i_get(line_addr)
+                    if way is None:
+                        i_stats.misses += 1
+                        if recording:
+                            stats.l1i_misses += 1
+                    else:
+                        i_stats.hits += 1
+                        set_index = line_addr & i_mask
+                        slot = set_index * i_assoc + way
+                        top = i_clock[set_index]
+                        if i_stamp[slot] == top:
+                            i_policy.last_hit_was_mru = True
+                        else:
+                            i_policy.last_hit_was_mru = False
+                            top += 1
+                            i_clock[set_index] = top
+                            i_stamp[slot] = top
                         if hit_hook is not None:
                             hit_hook(core_id, "il1", line_addr)
-                    elif recording:
-                        stats.l1i_misses += 1
                 else:
-                    is_ifetch = False
-                    is_write = kind is _STORE
                     if recording:
                         stats.l1d_accesses += 1
-                    hit = l1d_access(line_addr, write=is_write)
-                    if hit:
+                    way = d_get(line_addr)
+                    if way is None:
+                        d_stats.misses += 1
+                        if recording:
+                            stats.l1d_misses += 1
+                    else:
+                        d_stats.hits += 1
+                        set_index = line_addr & d_mask
+                        slot = set_index * d_assoc + way
+                        top = d_clock[set_index]
+                        if d_stamp[slot] == top:
+                            d_policy.last_hit_was_mru = True
+                        else:
+                            d_policy.last_hit_was_mru = False
+                            top += 1
+                            d_clock[set_index] = top
+                            d_stamp[slot] = top
+                        if kind is _STORE:
+                            d_dirty[slot] = 1
                         if hit_hook is not None:
                             hit_hook(core_id, "dl1", line_addr)
-                    elif recording:
-                        stats.l1d_misses += 1
-                if hit:
+                if way is not None:
                     if gap > 0:
                         instructions += gap
                         cycles += gap * base_cpi
@@ -221,14 +269,15 @@ class SimulatedCore:
                         core,
                         stats if recording else None,
                         line_addr,
-                        is_ifetch,
-                        is_write,
+                        kind is _IFETCH,
+                        kind is _STORE,
                     )
                     step_account(gap, level, kind)
                     instructions = timing.instructions
                     cycles = timing.cycles
-                if self.cycles_at_warmup < 0 and instructions >= warmup:
+                if before_warmup and instructions >= warmup:
                     self.cycles_at_warmup = cycles
+                    before_warmup = False
                 if not is_done and instructions >= quota_end:
                     is_done = True
                     transitioned = True

@@ -37,17 +37,24 @@ from ..project import FunctionInfo, ProjectIndex, dotted_parts
 from ..rules import Finding
 
 #: qualname suffixes registered as hot by default: the packed
-#: tag-store access and fill closures, the core's two loops (the
-#: ``_bare_loop`` and ``_probed_loop`` generators), and the vectorised
-#: trace generator (see ROADMAP "vectorized epoch kernel").
+#: tag-store access, fill and NRU promote closures, the core's two
+#: loops (the ``_bare_loop`` and ``_probed_loop`` generators), the TLH
+#: hint closure's builder, the vectorised trace generator and its batch
+#: body, and the trace-batch memo's replay loop with the list
+#: conversion every feed runs (see ROADMAP "vectorized epoch kernel").
 DEFAULT_HOT_SUFFIXES = (
     "Cache.access",
     "Cache._make_lru_access",
     "Cache._make_lru_fill",
+    "Cache._make_nru_promote",
     "SimulatedCore._bare_loop",
     "SimulatedCore._probed_loop",
+    "TemporalLocalityHints.hit_hook",
     "_mixture_trace_numpy",
     "_mixture_batches_numpy",
+    "_numpy_batch_maker",
+    "_batch_lists",
+    "_BatchMemo.replay",
 )
 
 #: same-attribute loads per loop body that trigger HX2.

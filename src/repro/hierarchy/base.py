@@ -141,31 +141,20 @@ class BaseHierarchy:
         #: approximate global cycle clock for event timestamps, advanced
         #: by the core's probed loop only while a collector is attached.
         self.clock = 0.0
-        self.tla: "TLAPolicy" = _make_none_policy()
-        self.tla.attach(self)
-        self._refresh_tla_hooks()
+        self.attach_tla(_make_none_policy())
 
     # -- TLA policy management -------------------------------------------------
     def attach_tla(self, policy: "TLAPolicy") -> None:
-        """Install a TLA policy; it hooks victim selection and hit events."""
+        """Install a TLA policy; it hooks victim selection and hit events.
+
+        Core-cache hits are the simulator's hottest event by far, so
+        the policy's :meth:`~repro.core.TLAPolicy.hit_hook` is cached
+        here: policies that ignore hits (none/ECI/QBS) cost the hit
+        path one ``is None`` test, and plain TLH one call per hit.
+        """
         self.tla = policy
         policy.attach(self)
-        self._refresh_tla_hooks()
-
-    def _refresh_tla_hooks(self) -> None:
-        """Cache the TLA hit hook, or None when the policy doesn't override it.
-
-        Core-cache hits are the simulator's hottest event by far; for
-        policies that ignore them (none/ECI/QBS — everything but TLH)
-        the hit path then pays one ``is None`` test instead of a bound
-        method call per hit.
-        """
-        from ..core.tla import TLAPolicy  # late: hierarchy<->core cycle
-
-        if type(self.tla).on_core_cache_hit is TLAPolicy.on_core_cache_hit:
-            self._tla_hit_hook = None
-        else:
-            self._tla_hit_hook = self.tla.on_core_cache_hit
+        self._tla_hit_hook = policy.hit_hook()
 
     # -- CacheSan sanitizer management ------------------------------------------
     def attach_sanitizer(self, sanitizer: HierarchySanitizer) -> None:

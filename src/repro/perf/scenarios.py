@@ -68,14 +68,18 @@ class Scenario:
     description: str = ""
 
 
-def _access_loop_round(phase_timer: Optional[PhaseTimer] = None) -> int:
-    """Simulate 40k instructions of MIX_10 through the full hierarchy."""
+def _access_loop_round(
+    phase_timer: Optional[PhaseTimer] = None, tla: str = "none"
+) -> int:
+    """Simulate 40k instructions of MIX_10 through the full hierarchy,
+    under the TLA preset ``tla``."""
     from repro import CMPSimulator, SimConfig, baseline_hierarchy
+    from repro.config import tla_preset
     from repro.workloads import mix_by_name
 
     reference = baseline_hierarchy(2, scale=SCALE)
     config = SimConfig(
-        hierarchy=baseline_hierarchy(2, scale=SCALE),
+        hierarchy=baseline_hierarchy(2, scale=SCALE, tla=tla_preset(tla)),
         instruction_quota=ACCESS_LOOP_INSTRUCTIONS // 2,
     )
     result = CMPSimulator(
@@ -102,6 +106,21 @@ def access_loop_null_timer_round() -> int:
 def access_loop_phases_round() -> int:
     """Same work with an enabled PhaseTimer (instrumentation cost)."""
     return _access_loop_round(phase_timer=PhaseTimer())
+
+
+def tlh_l1_loop_round() -> int:
+    """The access loop with TLH-L1: one LLC hint per L1 hit."""
+    return _access_loop_round(tla="tlh-l1")
+
+
+def eci_loop_round() -> int:
+    """The access loop with ECI: an early invalidate per LLC miss fill."""
+    return _access_loop_round(tla="eci")
+
+
+def qbs_loop_round() -> int:
+    """The access loop with QBS: core-cache queries per LLC victim."""
+    return _access_loop_round(tla="qbs")
 
 
 def trace_gen_round() -> int:
@@ -217,6 +236,32 @@ SCENARIOS: Dict[str, Scenario] = {
             floor=FLOOR_LLC_THRASH,
             round_fn=llc_thrash_round,
             description="streaming footprints 4x the LLC (miss-path bound)",
+        ),
+        # One access loop per TLA policy; no floors, the trajectory
+        # records what each policy's hooks cost.
+        Scenario(
+            name="tlh_l1_loop",
+            metric="instructions_per_s",
+            work=ACCESS_LOOP_INSTRUCTIONS,
+            floor=0.0,
+            round_fn=tlh_l1_loop_round,
+            description="access loop under TLH-L1 (hint per L1 hit)",
+        ),
+        Scenario(
+            name="eci_loop",
+            metric="instructions_per_s",
+            work=ACCESS_LOOP_INSTRUCTIONS,
+            floor=0.0,
+            round_fn=eci_loop_round,
+            description="access loop under ECI",
+        ),
+        Scenario(
+            name="qbs_loop",
+            metric="instructions_per_s",
+            work=ACCESS_LOOP_INSTRUCTIONS,
+            floor=0.0,
+            round_fn=qbs_loop_round,
+            description="access loop under QBS (query loop on the miss path)",
         ),
     )
 }

@@ -19,10 +19,13 @@ generators (:func:`looping_trace`, :func:`strided_trace`,
 
 from __future__ import annotations
 
+import os
 import random
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 from itertools import chain, repeat, starmap
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Iterator, List, Optional, Sequence, Tuple
 
 from ..access import AccessType
 from ..errors import TraceError
@@ -37,6 +40,17 @@ except ImportError:  # pragma: no cover - numpy is present in CI
 CODE_BASE = 0x0000_1000_0000
 DATA_BASE = 0x0010_0000_0000
 REGION_STRIDE = 0x0001_0000_0000
+
+#: records per numpy batch.
+BATCH_RECORDS = 4096
+
+#: records the per-process trace-batch memo may hold over all streams;
+#: a stored record costs 17 bytes (int64 gap and address, int8 kind
+#: code), so the memo stays near 1 MiB.
+MEMO_RECORDS = 1 << 16
+
+#: access kind by the numpy engine's kind code.
+_KIND_BY_CODE = (AccessType.LOAD, AccessType.STORE, AccessType.IFETCH)
 
 
 def _exponential_mean_for_floored(target_mean: float) -> float:
@@ -161,12 +175,15 @@ def mixture_feed(
     bare tuples zipped straight out of the numpy engine's batches.  A
     core unpacks each record at once, and ``zip`` reuses its result
     tuple when nothing else holds it, so no per-record object is
-    built.  Without numpy the Python engine's records are the feed.
+    built.  The batches come through this process's trace-batch memo,
+    so the feeds of one stream share one generation (see
+    :class:`_BatchMemo`).  Without numpy the Python engine's records
+    are the feed.
     """
     if _np is None:
         return _mixture_trace_python(profile, seed, base_address)
     return chain.from_iterable(
-        starmap(zip, _mixture_batches_numpy(profile, seed, base_address))
+        starmap(zip, _batch_lists(_MEMO.replay((profile, seed, base_address))))
     )
 
 
@@ -239,6 +256,12 @@ def _mixture_trace_python(
         yield TraceRecord(gap, kind, address)
 
 
+#: one numpy batch: int64 gaps, int8 kind codes, int64 addresses.
+_Batch = Tuple[Any, Any, Any]
+#: a stream's identity in the trace-batch memo.
+_StreamKey = Tuple[MixtureProfile, int, int]
+
+
 def _mixture_trace_numpy(
     profile: MixtureProfile,
     seed: int,
@@ -249,31 +272,61 @@ def _mixture_trace_numpy(
     Each batch becomes :class:`TraceRecord` objects through a C-level
     ``map`` feeding ``tuple.__new__``, so no per-record Python
     bytecode runs (``TraceRecord._make`` is a Python-level classmethod
-    and would cost a frame per record).
+    and would cost a frame per record).  Every record view generates
+    its own batches: it never goes through the trace-batch memo.
     """
     record_new = tuple.__new__
     record_cls = repeat(TraceRecord)
-    for gaps, kinds, addresses in _mixture_batches_numpy(
-        profile, seed, base_address
+    for gaps, kinds, addresses in _batch_lists(
+        _mixture_batches_numpy(profile, seed, base_address)
     ):
         yield from map(record_new, record_cls, zip(gaps, kinds, addresses))
+
+
+def _batch_lists(
+    batches: Iterator[_Batch],
+) -> Iterator[Tuple[List[int], List[AccessType], List[int]]]:
+    """``(gaps, kinds, addresses)`` lists of each array batch.
+
+    ``tolist`` and a ``take`` from the kind table do the conversion in
+    C, so a replayed batch yields exactly what its generation did.
+    """
+    kind_take = _np.array(_KIND_BY_CODE, dtype=object).take
+    for gaps, codes, addresses in batches:
+        yield gaps.tolist(), kind_take(codes).tolist(), addresses.tolist()
 
 
 def _mixture_batches_numpy(
     profile: MixtureProfile,
     seed: int,
     base_address: int,
-) -> Iterator[Tuple[List[int], List[AccessType], List[int]]]:
+) -> Iterator[_Batch]:
     """Batched numpy core of :func:`mixture_trace` and :func:`mixture_feed`.
 
-    Draws random variates in blocks of 4096 and yields each block as
-    ``(gaps, kinds, addresses)`` lists, built with vectorised integer
-    arithmetic; behaviourally equivalent to the Python engine (same
-    distributions), though the exact streams differ.  The stream is
-    bit-identical to the historical scalar numpy loop (the golden
-    regression digests depend on it);
-    ``tests/workloads/test_synthetic_vector.py`` keeps a copy of that
-    scalar loop and asserts equivalence.
+    An endless run of :func:`_numpy_batch_maker`'s batches.  The body
+    lives in that helper, so while suspended this generator keeps only
+    the helper's RNG and cursors, not the last batch's arrays.
+    """
+    next_batch = _numpy_batch_maker(profile, seed, base_address)
+    while True:
+        yield next_batch()
+
+
+def _numpy_batch_maker(
+    profile: MixtureProfile,
+    seed: int,
+    base_address: int,
+) -> Callable[[], _Batch]:
+    """The numpy engine's batch body: a closure returning the next batch.
+
+    Each call draws random variates in blocks of :data:`BATCH_RECORDS`
+    and returns the block as ``(gaps, codes, addresses)`` arrays (int64,
+    int8 kind codes, int64), built with vectorised integer arithmetic;
+    behaviourally equivalent to the Python engine (same distributions),
+    though the exact streams differ.  The stream is bit-identical to
+    the historical scalar numpy loop (the golden regression digests
+    depend on it); ``tests/workloads/test_synthetic_vector.py`` keeps a
+    copy of that scalar loop and asserts equivalence.
 
     The batch is assembled in three passes:
 
@@ -287,9 +340,10 @@ def _mixture_batches_numpy(
        at all); bursty mixtures fall back to a *visit* loop with one
        Python iteration per region visit (not per record) and burst
        continuations filled by a C-level slice assignment;
-    3. access kinds are gathered from an object array of the three
-       :class:`AccessType` members, so every list comes out of numpy's
-       ``tolist`` with no per-record Python bytecode.
+    3. access kinds are coded 0 = load, 1 = store, 2 = ifetch;
+       :func:`_batch_lists` gathers the :class:`AccessType` members
+       from those codes, so every list comes out of numpy's ``tolist``
+       with no per-record Python bytecode.
     """
     rng = _np.random.RandomState(seed & 0x7FFF_FFFF)
     line = profile.line_size
@@ -316,16 +370,11 @@ def _mixture_batches_numpy(
     p_write = profile.write_fraction
     code_lines = profile.code_lines
 
-    #: kind lookup by code: 0 = load, 1 = store, 2 = ifetch.
-    kind_table = _np.array(
-        [AccessType.LOAD, AccessType.STORE, AccessType.IFETCH], dtype=object
-    )
-
     code_cursor = 0
     stream_cursors = [0] * len(regions)
     burst_address = 0
     burst_left = 0
-    batch = 4096
+    batch = BATCH_RECORDS
 
     # Burst-free mixtures (the common case) admit a fully vectorised
     # data pass; only bursty profiles need the per-visit Python loop.
@@ -334,20 +383,22 @@ def _mixture_batches_numpy(
     bases_arr = _np.array(region_bases, dtype=_np.int64)
     seq_regions = [i for i, s in enumerate(region_sequential) if s]
 
-    # Per-batch bindings hoisted out of the generation loop (HX2/HX1):
+    # Per-batch bindings hoisted out of the batch body (HX2/HX1):
     # bound methods and dtype objects are immutable, and the zero-gap
-    # list is only ever read, so one shared instance is safe.
+    # array of a gap-free profile is only ever read, so one shared
+    # instance is safe.
     np_int64 = _np.int64
+    np_int8 = _np.int8
     np_where = _np.where
     np_flatnonzero = _np.flatnonzero
     np_accumulate = _np.maximum.accumulate
     random_sample = rng.random_sample
-    kind_take = kind_table.take
-    zero_gaps = [0] * batch
+    zero_gaps = _np.zeros(batch, dtype=np_int64) if exp_mean <= 0 else None
 
-    while True:
+    def next_batch() -> _Batch:
+        nonlocal code_cursor, burst_address, burst_left
         if exp_mean > 0:
-            gaps = rng.exponential(exp_mean, batch).astype(np_int64).tolist()
+            gaps = rng.exponential(exp_mean, batch).astype(np_int64)
         else:
             gaps = zero_gaps
         u_type = random_sample(batch)
@@ -447,9 +498,125 @@ def _mixture_batches_numpy(
                     cursor += 1
             addresses[data_pos] = data_addresses
 
-        # -- pass 3: access kinds -------------------------------------------
-        kind_codes = np_where(is_ifetch, 2, u_write < p_write)
-        yield gaps, kind_take(kind_codes).tolist(), addresses.tolist()
+        # -- pass 3: access kind codes --------------------------------------
+        codes = np_where(is_ifetch, 2, u_write < p_write).astype(np_int8)
+        return gaps, codes, addresses
+
+    return next_batch
+
+
+class _Stream:
+    """One stream's entry in the trace-batch memo.
+
+    ``batches`` holds the arrays generated so far, or is None once the
+    stream has left the memo; ``source`` is the stream's generator,
+    positioned after its first ``made`` batches, until a feed takes it
+    over.
+    """
+
+    __slots__ = ("key", "batches", "source", "made")
+
+    def __init__(self, key: _StreamKey) -> None:
+        self.key = key
+        self.batches: Optional[List[_Batch]] = []
+        self.source: Optional[Iterator[_Batch]] = _mixture_batches_numpy(*key)
+        self.made = 0
+
+
+class _BatchMemo:
+    """Per-process LRU of recorded numpy trace batches, one entry per stream.
+
+    A stream is ``(profile, seed, base_address)``.  The first feed of a
+    stream generates its batches into the entry; every later feed of
+    it replays them and generates any further batch into the entry
+    too, so while the stream stays in the memo each batch is generated
+    once.  Replays are the generator's own arrays, so a feed's values
+    never depend on whether they were replayed.
+
+    The memo holds at most ``capacity`` records over all streams.  The
+    least recently used streams leave first; a stream that alone
+    outgrows the bound leaves too and stops recording.  A feed whose
+    stream has left carries on alone: with the stream's generator if
+    it had reached the generator's position, else with a fresh one
+    advanced to its own.
+
+    One lock guards the entries; batches are generated under it, so
+    two threads consuming one stream take turns.  ``clear`` runs in
+    every forked child, so a child never inherits a lock held by one
+    of its parent's threads.
+    """
+
+    def __init__(self, capacity: int) -> None:
+        self.capacity = capacity
+        self._streams: "OrderedDict[_StreamKey, _Stream]" = OrderedDict()
+        self.clear()
+
+    def clear(self) -> None:
+        """Drop every stream, zero the counters, make a fresh lock."""
+        self._lock = threading.Lock()
+        for stream in self._streams.values():
+            stream.batches = None
+        self._streams = OrderedDict()
+        #: records held, over all streams.
+        self.records = 0
+        #: batches generated into the memo, and batches replayed from it.
+        self.generated = 0
+        self.replayed = 0
+
+    def replay(self, key: _StreamKey) -> Iterator[_Batch]:
+        """Stream ``key``'s batches in order, shared through the memo."""
+        with self._lock:
+            stream = self._streams.get(key)
+            if stream is None:
+                stream = self._streams[key] = _Stream(key)
+            else:
+                self._streams.move_to_end(key)
+        index = 0
+        while True:
+            with self._lock:
+                batch = self._batch(stream, index)
+            if batch is None:
+                break
+            yield batch
+            index += 1
+        # The stream has left the memo: go on alone from batch ``index``.
+        with self._lock:
+            source = stream.source
+            if stream.made == index:
+                stream.source = None
+            else:
+                source = None
+        if source is None:
+            source = _mixture_batches_numpy(*key)
+            for _ in range(index):
+                next(source)
+        yield from source
+
+    def _batch(self, stream: _Stream, index: int) -> Optional[_Batch]:
+        """Batch ``index`` of an entry, or None once it has left the memo."""
+        batches = stream.batches
+        if batches is None:
+            return None
+        self._streams.move_to_end(stream.key)
+        if index < len(batches):
+            self.replayed += 1
+            return batches[index]
+        batch = next(stream.source)
+        stream.made += 1
+        self.generated += 1
+        batches.append(batch)
+        self.records += BATCH_RECORDS
+        while self.records > self.capacity:
+            _, gone = self._streams.popitem(last=False)
+            self.records -= len(gone.batches) * BATCH_RECORDS
+            gone.batches = None
+        return batch
+
+
+#: this process's trace-batch memo, under :func:`mixture_feed` only.
+_MEMO = _BatchMemo(MEMO_RECORDS)
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_MEMO.clear)
 
 
 # -- simple single-pattern generators (tests, examples, figure 3) -------------

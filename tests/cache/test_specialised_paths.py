@@ -1,17 +1,18 @@
-"""Specialised ``access`` / ``fill`` closures vs the generic methods.
+"""Specialised ``access`` / ``fill`` / ``promote`` closures vs the generic methods.
 
 For an un-hashed cache under the stock LRU family, :class:`Cache`
 shadows ``access`` (and, for plain LRU only, ``fill``) with closures
-that do the whole operation in one body.  The class methods
-``Cache.access`` / ``Cache.fill`` stay the behavioural reference: this
+that do the whole operation in one body; under plain NRU it shadows
+``promote``.  The class methods stay the behavioural reference: this
 module drives identical random operation sequences through a cache
 using the closures and a twin with them removed, and requires equal
 returns and equal internal state after every operation — tag store,
-residency-map order, recency stamps, set clocks, cold counters, stats
-and the ``last_hit_was_mru`` flag TLH's MRU filter reads.
+residency-map order, recency stamps, set clocks, cold counters (NRU:
+reference bits), stats and the ``last_hit_was_mru`` flag TLH's MRU
+filter reads.
 """
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.cache import Cache
 from repro.config import CacheConfig
@@ -27,11 +28,11 @@ def build_cache(sets: int, ways: int, replacement: str, index_hash=False) -> Cac
 
 
 def generic_twin(sets: int, ways: int, replacement: str) -> Cache:
-    """The same cache with the instance closures removed, so ``access``
-    and ``fill`` resolve to the class methods."""
+    """The same cache with the instance closures removed, so ``access``,
+    ``fill`` and ``promote`` resolve to the class methods."""
     cache = build_cache(sets, ways, replacement)
-    vars(cache).pop("access", None)
-    vars(cache).pop("fill", None)
+    for name in ("access", "fill", "promote"):
+        vars(cache).pop(name, None)
     return cache
 
 
@@ -106,6 +107,64 @@ class TestClosuresMatchGenericMethods:
             assert state_of(fast) == state_of(reference), op
 
 
+def nru_state_of(cache: Cache):
+    return (
+        list(cache._addrs),
+        bytes(cache._valid),
+        bytes(cache._dirty),
+        list(cache._map.items()),
+        bytes(cache.policy._ref),
+        cache.stats.snapshot(),
+    )
+
+
+#: few addresses, so sets fill, the all-set reference bits get cleared
+#: and promotes land on lines whose bit is clear.
+NRU_ADDRESSES = st.integers(min_value=0, max_value=15)
+NRU_OPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("access"), NRU_ADDRESSES, st.booleans()),
+        st.tuples(st.just("fill"), NRU_ADDRESSES, st.booleans()),
+        st.tuples(
+            st.just("fill_excluding"),
+            NRU_ADDRESSES,
+            st.booleans(),
+            st.frozensets(st.integers(0, 7), min_size=1, max_size=7),
+        ),
+        st.tuples(st.just("invalidate"), NRU_ADDRESSES),
+        st.tuples(st.just("promote"), NRU_ADDRESSES),
+    ),
+    max_size=250,
+)
+
+
+class TestNRUPromoteClosure:
+    @given(sets=st.sampled_from([1, 2, 4]), ways=GEOMETRY, ops=NRU_OPS)
+    # A full set's third fill clears every reference bit, so the
+    # promote lands on a line whose bit is clear.
+    @example(
+        sets=1,
+        ways=2,
+        ops=[("fill", 0, False), ("fill", 1, False), ("fill", 2, False),
+             ("promote", 1)],
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_same_returns_and_state_after_every_op(self, sets, ways, ops):
+        fast = build_cache(sets, ways, "nru")
+        reference = generic_twin(sets, ways, "nru")
+        assert "promote" in vars(fast)
+        assert "promote" not in vars(reference)
+        assert nru_state_of(fast) == nru_state_of(reference)
+        for op in ops:
+            if op[0] == "fill_excluding":
+                excluded = frozenset(way for way in op[3] if way < ways)
+                if not excluded or len(excluded) >= ways:
+                    continue
+                op = (op[0], op[1], op[2], excluded)
+            assert apply(fast, op) == apply(reference, op), op
+            assert nru_state_of(fast) == nru_state_of(reference), op
+
+
 class TestGenericPathKept:
     def test_lip_and_mru_keep_generic_fill(self):
         for policy in ("lip", "mru"):
@@ -123,6 +182,15 @@ class TestGenericPathKept:
         assert "access" not in vars(cache)
         assert "fill" not in vars(cache)
         assert cache.fill.__func__ is Cache.fill
+
+    def test_only_plain_unhashed_nru_gets_the_promote_closure(self):
+        for cache in (
+            build_cache(4, 4, "lru"),
+            build_cache(4, 4, "srrip"),
+            build_cache(4, 4, "nru", index_hash=True),
+        ):
+            assert "promote" not in vars(cache)
+            assert cache.promote.__func__ is Cache.promote
 
     def test_fill_closure_adds_no_reference_cycle(self):
         import gc

@@ -1,6 +1,7 @@
 """Behavioural tests for Temporal Locality Hints."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.access import AccessType
 from repro.coherence import MessageType
@@ -197,3 +198,79 @@ class TestMRUFilter:
         refetch_filtered, hints_filtered = run(True)
         assert hints_filtered < hints_full
         assert refetch_filtered <= refetch_full + 2
+
+
+class TestHintHook:
+    """Plain TLH's one-call hint closure vs :meth:`on_core_cache_hit`."""
+
+    @staticmethod
+    def twins(levels):
+        """A hierarchy on the closure and one on the method, each with
+        its own tracer."""
+        from repro.telemetry import Tracer
+
+        pair = []
+        for _ in range(2):
+            h = build_hierarchy(
+                tiny_hierarchy(
+                    "inclusive", tla=TLAConfig(policy="tlh", levels=levels)
+                )
+            )
+            pair.append((h, Tracer()))
+        reference = pair[1][0]
+        reference._tla_hit_hook = reference.tla.on_core_cache_hit
+        return pair
+
+    @staticmethod
+    def state_of(h, tracer):
+        tla = h.tla
+        return (
+            dict(h.traffic.counts),
+            (tla.hints_sent, tla.hints_applied, tla.hints_dropped),
+            bytes(h.llc.policy._ref),
+            h.llc.stats.snapshot(),
+            [(e.cycle, e.event, e.core, e.line) for e in tracer.events],
+        )
+
+    @given(
+        levels=st.sampled_from(
+            [("il1", "dl1"), ("il1",), ("dl1",), ("l2",), ("il1", "dl1", "l2")]
+        ),
+        ops=st.lists(
+            st.tuples(
+                st.integers(0, 1),
+                # Hot lines for core-cache hits, a wide range for LLC
+                # evictions.
+                st.one_of(st.integers(0, 12), st.integers(0, 400)),
+                st.sampled_from(list(AccessType)),
+                st.booleans(),
+            ),
+            max_size=300,
+        ),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_closure_matches_method(self, levels, ops):
+        pair = self.twins(levels)
+        fast = pair[0][0]
+        assert not hasattr(fast._tla_hit_hook, "__self__")  # the closure
+        for core_id, line, kind, traced in ops:
+            # The closure reads the tracer slot on every hint.
+            for h, tracer in pair:
+                h.tracer = tracer if traced else None
+                h.access(core_id, addr(line), kind)
+            assert self.state_of(*pair[0]) == self.state_of(*pair[1])
+
+    def test_sampled_and_filtered_tlh_keep_the_method(self):
+        for tla in (
+            TLAConfig(policy="tlh", sample_rate=0.5),
+            TLAConfig(policy="tlh", mru_filter=True),
+        ):
+            h = build_hierarchy(tiny_hierarchy("inclusive", num_cores=1, tla=tla))
+            assert h._tla_hit_hook == h.tla.on_core_cache_hit
+
+    def test_policies_that_ignore_hits_cache_no_hook(self):
+        for policy in ("none", "eci", "qbs"):
+            h = build_hierarchy(
+                tiny_hierarchy("inclusive", tla=TLAConfig(policy=policy))
+            )
+            assert h._tla_hit_hook is None

@@ -106,6 +106,58 @@ class TestProbeSlots:
         assert result.intervals.num_windows >= 1
 
 
+class TestLoopGate:
+    """The bare loop inlines the LRU ``access`` closure, so it runs only
+    while both L1s carry that closure."""
+
+    @staticmethod
+    def _simulator(monkeypatch, **l1d):
+        monkeypatch.delenv(SANITIZE_ENV_VAR, raising=False)
+        config = tiny_sim_config(num_cores=2, quota=1_000)
+        hierarchy = dataclasses.replace(
+            config.hierarchy,
+            l1d=dataclasses.replace(config.hierarchy.l1d, **l1d),
+        )
+        config = dataclasses.replace(config, hierarchy=hierarchy)
+        return CMPSimulator(config, [looping_trace(8), looping_trace(8)])
+
+    @pytest.mark.parametrize(
+        "l1d",
+        [
+            {"replacement": "fifo"},
+            {"replacement": "nru"},
+            {"replacement": "plru"},
+            {"replacement": "srrip"},
+            {"index_hash": True},
+        ],
+    )
+    def test_non_lru_or_hashed_l1_runs_probed(self, monkeypatch, l1d):
+        simulator = self._simulator(monkeypatch, **l1d)
+        assert loop_names(simulator) == ["_probed_loop", "_probed_loop"]
+        result = simulator.run()
+        assert all(core.instructions >= 1_000 for core in result.cores)
+
+    @pytest.mark.parametrize("replacement", ["lru", "lip", "mru"])
+    def test_stock_lru_family_runs_bare(self, monkeypatch, replacement):
+        simulator = self._simulator(monkeypatch, replacement=replacement)
+        assert loop_names(simulator) == ["_bare_loop", "_bare_loop"]
+
+    def test_replaced_l1_access_runs_probed_and_is_called(self, monkeypatch):
+        simulator = self._simulator(monkeypatch)
+        l1d = simulator.hierarchy.cores[0].l1d
+        closure = l1d.access
+        calls = []
+
+        def counting_access(line_addr, write=False):
+            calls.append(line_addr)
+            return closure(line_addr, write)
+
+        l1d.access = counting_access
+        assert loop_names(simulator) == ["_probed_loop", "_bare_loop"]
+        simulator.run()
+        assert len(calls) == simulator.hierarchy.core_stats[0].l1d_accesses
+
+
 class TestInterleaving:
     def test_slow_core_gets_proportionally_fewer_instructions(self):
         """A thrashing core advances fewer instructions per cycle."""
