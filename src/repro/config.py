@@ -12,6 +12,7 @@ memory penalty and 32 outstanding misses.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field, replace
 from typing import Dict, Optional, Tuple
 
@@ -23,6 +24,31 @@ MB = 1024 * KB
 
 #: Hierarchy modes understood by :func:`repro.hierarchy.build_hierarchy`.
 HIERARCHY_MODES = ("inclusive", "non_inclusive", "exclusive")
+
+_FLAG_ON = ("1", "true", "yes", "on")
+_FLAG_OFF = ("0", "false", "no", "off")
+
+
+def env_flag(name: str, default: bool) -> bool:
+    """Read the boolean environment switch ``name``.
+
+    ``1``/``true``/``yes``/``on`` mean on and ``0``/``false``/``no``/
+    ``off`` mean off, in any case; unset or empty keeps ``default``.
+    Any other value raises :class:`ConfigurationError` naming the
+    variable, so a typo never silently flips a switch.
+    """
+    raw = os.environ.get(name, "")
+    value = raw.strip().lower()
+    if not value:
+        return default
+    if value in _FLAG_ON:
+        return True
+    if value in _FLAG_OFF:
+        return False
+    raise ConfigurationError(
+        f"{name}={raw!r} is not a boolean; use one of "
+        f"{'/'.join(_FLAG_ON)} or {'/'.join(_FLAG_OFF)}"
+    )
 
 
 @dataclass(frozen=True)

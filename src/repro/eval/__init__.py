@@ -7,8 +7,7 @@ comparisons with honest uncertainty, **without re-running a single
 simulation**.  Four layers:
 
 * :mod:`~repro.eval.pairing` — align cached runs across policies by
-  workload coordinate (spec-driven exact job-key lookup, or
-  manifest/cache discovery);
+  workload coordinate (manifest/cache discovery);
 * :mod:`~repro.eval.stats` — seeded bootstrap CIs, permutation and
   sign tests, Holm correction, geomean-of-ratios (stdlib only);
 * :mod:`~repro.eval.slicing` — the metric set (throughput, LLC MPKI,
@@ -32,7 +31,6 @@ from .pairing import (
     parse_policy,
     policy_name,
     record_from_summary,
-    records_from_spec,
     records_from_sweep_manifest,
 )
 from .report import (
@@ -105,7 +103,6 @@ __all__ = [
     "permutation_pvalue",
     "policy_name",
     "record_from_summary",
-    "records_from_spec",
     "records_from_sweep_manifest",
     "render_json",
     "render_longitudinal",

@@ -10,30 +10,23 @@ when they simulated the identical workload coordinate under two
 different policies, which is exactly the unit of evidence the paper's
 figures are built from.
 
-Two resolution strategies, strongest first:
-
-* **Spec-driven** (:func:`records_from_spec`): rebuild the sweep's
-  :class:`~repro.orchestrate.SimJob` descriptions from experiment
-  settings and compute their :func:`~repro.orchestrate.job_key` — the
-  lookup is then exact on the full hierarchy-config coordinate
-  (scale, quota, warmup, LLC size, ...), because the key *is* that
-  coordinate's content hash.
-* **Discovery** (:func:`discover_records`): scan the manifest (or,
-  without one, the cache directory) and take coordinates from the
-  summaries themselves.  Ambiguities — the same (workload, policy)
-  seen under several fidelity configurations — are resolved
-  deterministically (lowest job key wins) and surfaced in the report
-  rather than silently mixed.
+Runs are found by **discovery** (:func:`discover_records`): scan the
+manifest (or, without one, the cache directory) and take coordinates
+from the summaries themselves.  Ambiguities — the same (workload,
+policy) seen under several fidelity configurations — are resolved
+deterministically (lowest job key wins) and surfaced in the report
+rather than silently mixed.  :func:`records_from_sweep_manifest`
+restricts the records to the done jobs of one sweep's journal.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from ..errors import EvalError, ReproError
-from ..orchestrate import ResultCache, RunSummary, SweepManifest, job_key
+from ..orchestrate import ResultCache, RunSummary, SweepManifest
 from ..orchestrate.manifest import STATUS_DONE
 from ..workloads import mix_category
 
@@ -151,9 +144,10 @@ def records_from_sweep_manifest(
     if not isinstance(manifest, SweepManifest):
         manifest = SweepManifest(manifest)
     cache = ResultCache(str(cache_dir))
+    statuses = manifest.statuses()
     records = []
-    for key in sorted(manifest.statuses()):
-        record = manifest.statuses()[key]
+    for key in sorted(statuses):
+        record = statuses[key]
         if record.status != STATUS_DONE:
             continue
         summary = cache.load(key)
@@ -161,39 +155,6 @@ def records_from_sweep_manifest(
             continue
         records.append(record_from_summary(key, summary, record.category))
     return records
-
-
-def records_from_spec(
-    settings,
-    mixes: Iterable,
-    policies: Sequence[str],
-    cache_dir: Optional[Union[str, Path]] = None,
-) -> Tuple[List[RunRecord], List[str]]:
-    """Exact-coordinate loading via recomputed job keys.
-
-    ``settings`` is an :class:`~repro.experiments.ExperimentSettings`;
-    each (mix, policy) cell is resolved to its job key with the same
-    :func:`~repro.experiments.runner.build_job` the drivers use, then
-    looked up in the cache.  Returns ``(records, missing_labels)`` —
-    nothing is ever simulated here; a missing cell means that sweep
-    has not been run (or ran at different fidelity knobs).
-    """
-    from ..experiments.runner import build_job
-
-    cache = ResultCache(str(cache_dir) if cache_dir else settings.cache_dir)
-    records: List[RunRecord] = []
-    missing: List[str] = []
-    for mix in mixes:
-        for policy in policies:
-            mode, tla = parse_policy(policy)
-            job = build_job(settings, mix, mode=mode, tla=tla)
-            key = job_key(job)
-            summary = cache.load(key)
-            if summary is None:
-                missing.append(f"{mix.name}:{policy}")
-            else:
-                records.append(record_from_summary(key, summary, job.category))
-    return records, missing
 
 
 @dataclass(frozen=True)

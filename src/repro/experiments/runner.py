@@ -24,7 +24,7 @@ import os
 from dataclasses import dataclass
 from typing import Iterable, List, Mapping, Optional
 
-from ..config import TLAConfig, baseline_hierarchy, tla_preset
+from ..config import TLAConfig, baseline_hierarchy, env_flag, tla_preset
 from ..errors import ExperimentError
 from ..orchestrate import (
     Orchestrator,
@@ -36,6 +36,7 @@ from ..orchestrate import (
     job_key,
 )
 from ..perf import PhaseTimer
+from ..sanitize import env_override
 from ..telemetry import TelemetryConfig
 from ..workloads import WorkloadMix, all_two_core_mixes
 
@@ -96,7 +97,10 @@ class ExperimentSettings:
     @classmethod
     def from_env(cls) -> "ExperimentSettings":
         env = os.environ
-        full = env.get("REPRO_FULL", "") not in ("", "0")
+        full = env_flag("REPRO_FULL", False)
+        # REPRO_SANITIZE is read again as each job builds its hierarchy;
+        # parsing it here makes a malformed value fail before any job.
+        env_override(False)
         timeout = env.get("REPRO_JOB_TIMEOUT", "")
         return cls(
             scale=float(env.get("REPRO_SCALE", 0.0625)),
@@ -115,7 +119,7 @@ class ExperimentSettings:
                 else None
             ),
             telemetry=TelemetryConfig.from_env(),
-            host_phases=env.get("REPRO_HOST_PHASES", "") not in ("", "0"),
+            host_phases=env_flag("REPRO_HOST_PHASES", False),
         )
 
 

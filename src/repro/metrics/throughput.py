@@ -11,7 +11,7 @@ modelling.
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, Optional, Sequence
+from typing import Dict, Iterable, Optional, Sequence, Tuple
 
 from ..errors import ConfigurationError
 
@@ -89,6 +89,11 @@ def host_rate(work: float, seconds: float) -> float:
     return work / seconds
 
 
+#: running ``(jobs, instructions, accesses, busy_s)`` host totals.
+HostTotals = Tuple[int, int, int, float]
+HOST_ZERO: HostTotals = (0, 0, 0, 0.0)
+
+
 def aggregate_host(
     hosts: Iterable[Optional[Dict]],
     workers: int = 1,
@@ -102,21 +107,36 @@ def aggregate_host(
     averaged.  With the sweep's ``wall_s`` and worker count, the pool
     utilisation ``busy_s / (workers * wall_s)`` is included.
     """
+    totals = HOST_ZERO
+    for host in hosts:
+        totals = fold_host(totals, host)
+    return host_summary(totals, workers, wall_s)
+
+
+def fold_host(totals: HostTotals, host: Optional[Dict]) -> HostTotals:
+    """Add one host digest to running totals (an empty one adds
+    nothing), so a long-lived consumer keeps four numbers instead of
+    every digest."""
+    if not host:
+        return totals
+    jobs, instructions, accesses, busy_s = totals
+    return (
+        jobs + 1,
+        instructions + int(host.get("instructions", 0)),
+        accesses + int(host.get("accesses", 0)),
+        busy_s + float(host.get("job_wall_s", host.get("wall_s", 0.0))),
+    )
+
+
+def host_summary(
+    totals: HostTotals, workers: int = 1, wall_s: Optional[float] = None
+) -> Dict[str, float]:
+    """The :func:`aggregate_host` summary of folded totals."""
     if workers < 1:
         raise ConfigurationError("workers must be >= 1")
     if wall_s is not None and wall_s < 0:
         raise ConfigurationError("wall_s must be non-negative")
-    jobs = 0
-    instructions = 0
-    accesses = 0
-    busy_s = 0.0
-    for host in hosts:
-        if not host:
-            continue
-        jobs += 1
-        instructions += int(host.get("instructions", 0))
-        accesses += int(host.get("accesses", 0))
-        busy_s += float(host.get("job_wall_s", host.get("wall_s", 0.0)))
+    jobs, instructions, accesses, busy_s = totals
     aggregate: Dict[str, float] = {
         "jobs": jobs,
         "instructions": instructions,

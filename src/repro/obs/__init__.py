@@ -1,10 +1,9 @@
 """repro.obs — observability for the service stack.
 
-Three stdlib-only pieces that share one design rule (disabled is
-free, simulation state untouched):
+Three stdlib-only pieces that leave simulation state untouched:
 
 * :mod:`repro.obs.metrics` — the labeled counter/gauge/histogram
-  registry behind ``/v1/metrics``;
+  registry behind ``/v1/metrics``, always on;
 * :mod:`repro.obs.tracing` — trace/span ids, the span book, and the
   Chrome-trace conversion;
 * :mod:`repro.obs.prom` — Prometheus text exposition and its checker.

@@ -1,9 +1,12 @@
 """The unified metrics registry: labeled counters, gauges, histograms.
 
 One :class:`MetricsRegistry` instance is the single source of truth
-for a process's operational metrics — the service broker owns one and
-both the JSON ``/v1/metrics`` body and the Prometheus text exposition
-(:mod:`repro.obs.prom`) are views over it.  Three instrument kinds:
+for a process's operational metrics.  The service broker owns the only
+one, always on, and counts each event there once: the JSON
+``/v1/metrics`` body (its ``jobs`` and ``requests`` sections are sums
+over registry series) and the Prometheus text exposition
+(:mod:`repro.obs.prom`) are both views over it, rendered after one
+shared refresh of the point-in-time gauges.  Three instrument kinds:
 
 * :class:`Counter` — monotonically increasing totals;
 * :class:`Gauge` — point-in-time values (queue depth, workers busy);
@@ -20,12 +23,6 @@ updates.  Updates are a dict lookup plus a float add under that lock —
 cheap enough for admission-path use (the broker calls these while
 already holding its own lock; the registry lock never takes any other
 lock, so lock order is trivially acyclic).
-
-The disabled-is-free contract mirrors the phase timer's: a registry
-built with ``enabled=False`` hands out instruments whose update
-methods return on their first branch and whose exports are empty —
-hook sites need no ``if`` guards of their own, and tests pin
-that a disabled registry accumulates no state at all.
 
 Only JSON scalars/containers appear in exports, so a snapshot survives
 the worker pipe and the ``/v1/metrics`` serialisation unchanged.
@@ -74,13 +71,11 @@ class _Instrument:
         help_text: str,
         labels: Tuple[str, ...],
         lock: threading.Lock,
-        enabled: bool,
     ) -> None:
         self.name = name
         self.help = help_text
         self.label_names = labels
         self._lock = lock
-        self.enabled = enabled
         self._series: Dict[Tuple[str, ...], Any] = {}
 
     def _labels_dict(self, key: Tuple[str, ...]) -> Dict[str, str]:
@@ -105,8 +100,6 @@ class Counter(_Instrument):
     kind = "counter"
 
     def inc(self, amount: float = 1.0, **labels: Any) -> None:
-        if not self.enabled:
-            return
         if amount < 0:
             raise ConfigurationError("counters only go up")
         key = _label_key(self.label_names, labels)
@@ -119,9 +112,20 @@ class Counter(_Instrument):
             return self._series.get(key, 0.0)
 
     def total(self) -> float:
-        """Sum over every series (label-blind convenience for tests)."""
+        """Sum over every series."""
         with self._lock:
             return sum(self._series.values())
+
+    def sum_by(self, *names: str) -> Dict[str, float]:
+        """Sums over the series, grouped by the ``names`` labels; each
+        group is keyed by its label values joined with spaces."""
+        index = [self.label_names.index(name) for name in names]
+        sums: Dict[str, float] = {}
+        with self._lock:
+            for key, value in self._series.items():
+                group = " ".join(key[i] for i in index)
+                sums[group] = sums.get(group, 0.0) + value
+        return sums
 
     def samples(self) -> List[Dict[str, Any]]:
         with self._lock:
@@ -138,15 +142,11 @@ class Gauge(_Instrument):
     kind = "gauge"
 
     def set(self, value: float, **labels: Any) -> None:
-        if not self.enabled:
-            return
         key = _label_key(self.label_names, labels)
         with self._lock:
             self._series[key] = float(value)
 
     def add(self, amount: float, **labels: Any) -> None:
-        if not self.enabled:
-            return
         key = _label_key(self.label_names, labels)
         with self._lock:
             self._series[key] = self._series.get(key, 0.0) + amount
@@ -187,8 +187,6 @@ class Histogram(_Instrument):
         self.bounds = bounds
 
     def observe(self, value: float, **labels: Any) -> None:
-        if not self.enabled:
-            return
         key = _label_key(self.label_names, labels)
         value = float(value)
         # linear scan: bucket lists are short (~15) and admission-path
@@ -295,8 +293,7 @@ class MetricsRegistry:
     same name must mean the same metric, or the exposition would lie.
     """
 
-    def __init__(self, enabled: bool = True) -> None:
-        self.enabled = enabled
+    def __init__(self) -> None:
         self._lock = threading.Lock()
         self._metrics: Dict[str, _Instrument] = {}
 
@@ -315,7 +312,7 @@ class MetricsRegistry:
                     )
                 return existing
             metric = cls(
-                name, help_text, label_names, self._lock, self.enabled, **extra
+                name, help_text, label_names, self._lock, **extra
             )
             self._metrics[name] = metric
             return metric
@@ -350,11 +347,5 @@ class MetricsRegistry:
             return [self._metrics[name] for name in sorted(self._metrics)]
 
     def to_dict(self) -> Dict[str, Any]:
-        """The ``metrics`` section of ``/v1/metrics`` (schema v2).
-
-        Disabled registries export an empty object, so the JSON body
-        shape is stable whether or not observability is on.
-        """
-        if not self.enabled:
-            return {}
+        """The ``metrics`` section of ``/v1/metrics`` (schema v2)."""
         return {metric.name: metric.to_dict() for metric in self.metrics()}

@@ -68,9 +68,7 @@ def _format_labels(labels: Dict[str, str], extra: Optional[Tuple[str, str]] = No
 
 
 def render_registry(registry: MetricsRegistry) -> str:
-    """The full exposition body; empty string for a disabled registry."""
-    if not registry.enabled:
-        return ""
+    """The full exposition body."""
     lines: List[str] = []
     for metric in registry.metrics():
         lines.append(f"# HELP {metric.name} {_escape_help(metric.help)}")

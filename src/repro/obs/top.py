@@ -139,11 +139,15 @@ def derive_view(
         "jobs_per_s": _rate("repro_jobs_completed_total"),
         "http_p50": http_q[0] if http_q else None,
         "http_p99": http_q[1] if http_q else None,
+        # every unique admitted job is one result-cache consultation:
+        # served from the cache, coalesced in flight, or queued afresh.
         "cache": {
             outcome: _counter_total(
-                metrics, "repro_result_cache_requests_total", outcome=outcome
+                metrics, "repro_jobs_admitted_total", outcome=admission
             )
-            for outcome in ("hit", "coalesced", "miss")
+            for outcome, admission in (
+                ("hit", "cached"), ("coalesced", "coalesced"), ("miss", "queued")
+            )
         },
         "tenants": tenants,
     }

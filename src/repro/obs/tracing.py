@@ -14,9 +14,9 @@ span export, and the run manifest.
 appended to a bounded in-memory list when they *end* (never while
 open), snapshots copy under a lock, and exports are plain JSONL plus
 :func:`spans_to_chrome_trace`, the one Chrome-trace writer.  Like the
-phase timer and the metrics registry it is disabled-is-free — a
-disabled book's ``begin`` returns a no-op span and records nothing, so
-hook sites stay unguarded.
+phase timer it is disabled-is-free — a disabled book's ``begin``
+returns a no-op span and records nothing, so hook sites stay
+unguarded.
 
 Every span carries a clock domain.  ``wall`` spans are
 :func:`time.perf_counter` offsets from the book's

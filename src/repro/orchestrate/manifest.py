@@ -18,6 +18,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, Optional, Set, Union
 
+from ..config import env_flag
+
 #: terminal job states recorded in the journal.
 STATUS_DONE = "done"
 STATUS_FAILED = "failed"
@@ -36,13 +38,7 @@ MANIFEST_FSYNC_ENV = "REPRO_MANIFEST_FSYNC"
 
 
 def _fsync_from_env() -> bool:
-    # repro: allow[DX3] — durability knob; never part of job identity
-    return os.environ.get(MANIFEST_FSYNC_ENV, "").strip().lower() in (
-        "1",
-        "true",
-        "yes",
-        "on",
-    )
+    return env_flag(MANIFEST_FSYNC_ENV, False)
 
 
 @dataclass(frozen=True)
@@ -82,9 +78,12 @@ class SweepManifest:
 
     def __init__(self, path: Union[str, Path], fsync: Optional[bool] = None) -> None:
         self.path = Path(path)
-        #: None defers to REPRO_MANIFEST_FSYNC at each append, so a
-        #: long-lived service honours operator changes without restart.
+        #: None defers to REPRO_MANIFEST_FSYNC at each append; it is
+        #: parsed once here too, so a malformed value fails before the
+        #: sweep that journals here runs a job.
         self.fsync = fsync
+        if fsync is None:
+            _fsync_from_env()
 
     def record(
         self,

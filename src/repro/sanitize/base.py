@@ -29,11 +29,10 @@ fresh fail-fast sanitizer.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, List, Optional, Sequence
 
-from ..config import SanitizeConfig
+from ..config import SanitizeConfig, env_flag
 from ..errors import SanitizerError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -198,10 +197,7 @@ class HierarchySanitizer:
 
 def env_override(enabled: bool) -> bool:
     """Apply the ``REPRO_SANITIZE`` override to a configured flag."""
-    value = os.environ.get(ENV_VAR)
-    if value is None or value == "":
-        return enabled
-    return value != "0"
+    return env_flag(ENV_VAR, enabled)
 
 
 def sanitizer_from_config(

@@ -14,12 +14,15 @@ and :mod:`repro.errors` exceptions to status codes:
 ``GET    /v1/sweeps/{id}/trace``          recorded spans for the sweep
 ``GET    /v1/jobs/{key}/result``          fetch a cached RunSummary
 ``GET    /v1/healthz``                    liveness
-``GET    /v1/metrics``                    counters + registry snapshot
+``GET    /v1/metrics``                    views over the registry
 ========================================  =============================
 
 ``GET /v1/metrics?format=prometheus`` serves the same registry in
 Prometheus text exposition 0.0.4 for scrapers; the JSON view stays the
-canonical schema-validated document.
+canonical schema-validated document.  Both refresh the point-in-time
+gauges first, and a response is counted in
+``repro_http_requests_total`` as its status line is sent, so a client
+that reads ``/v1/metrics`` after a response sees that response counted.
 
 Error mapping: :class:`~repro.errors.SweepSpecError` → 400,
 unknown ids → 404, :class:`~repro.errors.AdmissionError` → 429 with a
@@ -41,8 +44,6 @@ import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Dict, List, Optional, Tuple
 from urllib.parse import parse_qs, urlsplit
-
-import threading
 
 from ..errors import AdmissionError, EvalError, SweepSpecError
 from ..eval import (
@@ -126,7 +127,7 @@ MAX_REPORT_RESAMPLES = 100_000
 
 
 class ReproServiceServer(ThreadingHTTPServer):
-    """The listening server: broker + config + request counters."""
+    """The listening server: broker + config."""
 
     daemon_threads = True
 
@@ -143,17 +144,6 @@ class ReproServiceServer(ThreadingHTTPServer):
         #: fidelity defaults for ``grid`` specs (an
         #: :class:`~repro.experiments.ExperimentSettings`).
         self.settings = settings
-        self._counter_lock = threading.Lock()
-        self._request_counts: Dict[str, int] = {}
-
-    def count_request(self, label: str, status: int) -> None:
-        with self._counter_lock:
-            key = f"{label} {status}"
-            self._request_counts[key] = self._request_counts.get(key, 0) + 1
-
-    def request_counts(self) -> Dict[str, int]:
-        with self._counter_lock:
-            return dict(self._request_counts)
 
 
 class ServiceRequestHandler(BaseHTTPRequestHandler):
@@ -172,6 +162,7 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
         self._query = parse_qs(split.query)
         self._started = time.perf_counter()
         self._status = 0
+        self._route_label = "unmatched"
         # the request's trace: honour a well-formed client id, mint
         # otherwise; echoed back on every response via X-Repro-Trace.
         self._trace_id = (
@@ -230,7 +221,6 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
                 )
                 self._send_json(500, {"error": "internal error"})
             return
-        self._route_label = "unmatched"
         if allowed:
             self._send_json(
                 405,
@@ -241,7 +231,7 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
             self._send_json(404, {"error": f"no such resource {split.path}"})
 
     def _finish_request(self, method: str, path: str) -> None:
-        """Access log + per-request registry accounting, every path."""
+        """Access log + request latency, every path."""
         broker = self.server.broker
         elapsed = time.perf_counter() - self._started
         if self._ingress_span is not None and self._sweep is not None:
@@ -249,12 +239,7 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
             # other request's span would stay in the book for good.
             broker.spans.end(self._ingress_span, status=self._status)
             broker.request_returned(self._sweep)
-        broker.observe_http(
-            getattr(self, "_route_label", "unmatched"),
-            self._status,
-            self._tenant(),
-            elapsed,
-        )
+        broker.m_http_latency.observe(elapsed, route=self._route_label)
         access_log.info(
             "request",
             method=method,
@@ -289,20 +274,17 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
         )
 
     def handle_metrics(self) -> None:
+        broker = self.server.broker
         fmt = (self._query.get("format") or ["json"])[0]
         if fmt == "prometheus":
+            broker.refresh_gauges()
             self._send_text(
                 200,
-                render_registry(self.server.broker.registry),
+                render_registry(broker.registry),
                 content_type="text/plain; version=0.0.4; charset=utf-8",
             )
             return
-        self._send_json(
-            200,
-            self.server.broker.metrics_snapshot(
-                requests=self.server.request_counts()
-            ),
-        )
+        self._send_json(200, broker.metrics_snapshot())
 
     def handle_submit(self) -> None:
         spec = self._read_json_body()
@@ -351,9 +333,7 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
         if events is None:
             self._send_json(404, {"error": f"no such sweep {sweep_id!r}"})
             return
-        self.server.count_request(self._route_label, 200)
-        self._status = 200
-        self.send_response(200)
+        self._send_status(200)
         self.send_header("Content-Type", "application/x-ndjson")
         self.send_header(TRACE_HEADER, self._trace_id)
         # Streamed body: no Content-Length, so the connection must close
@@ -505,11 +485,7 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
         content_type: str,
         extra_headers: Optional[Dict[str, str]] = None,
     ) -> None:
-        self._status = status
-        self.server.count_request(
-            getattr(self, "_route_label", "unmatched"), status
-        )
-        self.send_response(status)
+        self._send_status(status)
         self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(body)))
         self.send_header(TRACE_HEADER, self._trace_id)
@@ -517,6 +493,15 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
             self.send_header(name, value)
         self.end_headers()
         self.wfile.write(body)
+
+    def _send_status(self, status: int) -> None:
+        """Send the status line and count the response, so a client
+        that reads /v1/metrics after this response sees it counted."""
+        self._status = status
+        self.server.broker.m_http.inc(
+            route=self._route_label, status=status, tenant=self._tenant()
+        )
+        self.send_response(status)
 
     def log_message(self, format: str, *args) -> None:  # noqa: A002
         """Route http.server's stderr chatter through the structured log."""

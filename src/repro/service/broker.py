@@ -52,7 +52,7 @@ from ..errors import (
     QuotaExceededError,
     SweepSpecError,
 )
-from ..metrics.throughput import aggregate_host
+from ..metrics.throughput import HOST_ZERO, fold_host, host_summary
 from ..obs import MetricsRegistry, SpanBook, new_trace_id
 from ..obs.tracing import Span
 from ..orchestrate import (
@@ -228,29 +228,14 @@ class JobBroker:
         self._sweeps: Dict[str, Sweep] = {}
         self._tenant_jobs: Dict[str, int] = {}
         self._tenant_instr: Dict[str, int] = {}
-        #: monotonically increasing counters for /v1/metrics; one flat
-        #: dict so the snapshot is a single copy under the lock.
-        self.counters: Dict[str, int] = {
-            "sweeps_submitted": 0,
-            "sweeps_cancelled": 0,
-            "jobs_submitted": 0,
-            "jobs_deduped": 0,
-            "jobs_cached": 0,
-            "jobs_coalesced": 0,
-            "jobs_executed": 0,
-            "jobs_failed": 0,
-            "jobs_cancelled": 0,
-            "jobs_retried": 0,
-            "rejected_queue_full": 0,
-            "rejected_quota": 0,
-        }
-        self.host_digests: List[Dict[str, Any]] = []
+        #: executed jobs' host digests, folded in completion order.
+        self._host_totals = HOST_ZERO
         #: broker-thread time attribution (pool_wait vs execute_job vs
         #: orchestrate bookkeeping), surfaced on /v1/metrics.
         self.phase_timer = PhaseTimer()
-        #: the unified labeled registry (repro.obs) behind both the
-        #: ``metrics`` section of /v1/metrics and the Prometheus view.
-        #: Always on — it *is* the metrics endpoint's data source.
+        #: the labeled registry (repro.obs): the only place a service
+        #: count lives.  Both /v1/metrics views render it, and the JSON
+        #: ``jobs`` and ``requests`` sections are sums over its series.
         self.registry = MetricsRegistry()
         self._build_instruments()
         #: span recorder; a disabled book (``tracing=False``) makes
@@ -316,12 +301,6 @@ class JobBroker:
             "repro_admission_rejects_total",
             "Whole-sweep admission refusals, by reason.",
             ["tenant", "reason"],
-        )
-        self.m_cache = reg.counter(
-            "repro_result_cache_requests_total",
-            "Result-cache consultations per unique submitted job: "
-            "hit (memoized), coalesced (in flight), miss (fresh work).",
-            ["outcome"],
         )
         self.m_completed = reg.counter(
             "repro_jobs_completed_total",
@@ -467,88 +446,69 @@ class JobBroker:
         ordered: Dict[str, SimJob] = {}
         for job in jobs:
             ordered.setdefault(self.key_fn(job), job)
-        try:
-            with self._cond:
-                cached: Dict[str, RunSummary] = {}
-                coalesced: List[str] = []
-                fresh: List[str] = []
-                for key, job in ordered.items():
-                    if key in self._inflight:
-                        coalesced.append(key)
-                        continue
-                    hit = self.cache.load(key)
-                    if hit is not None:
-                        cached[key] = hit
-                    else:
-                        fresh.append(key)
-                self._admit(tenant, [ordered[key] for key in fresh])
-                sweep = self._new_sweep(tenant, list(ordered), trace_id)
-                sweep.root_span = parent_span or admission.span_id
-                sweep.request_open = parent_span is not None
-                for key, job in ordered.items():
-                    sweep.labels[key] = job.label()
-                for key in cached:
-                    sweep.statuses[key] = JOB_CACHED
-                for key in coalesced:
-                    entry = self._inflight[key]
-                    entry.sweeps.append(sweep)
-                    sweep.statuses[key] = (
-                        JOB_RUNNING
-                        if entry.state == JOB_RUNNING
-                        else JOB_QUEUED
-                    )
-                enqueued_at = self.spans.now()
-                for key in fresh:
-                    entry = _Entry(key, ordered[key], tenant)
-                    entry.sweeps.append(sweep)
-                    entry.trace_id = trace_id
-                    entry.parent_span = (
-                        admission.span_id if self.spans.enabled else None
-                    )
-                    entry.enqueued = enqueued_at
-                    self._inflight[key] = entry
-                    self._dispatcher.submit(key, entry)
-                    self._queued_count += 1
-                    sweep.statuses[key] = JOB_QUEUED
-                counters = self.counters
-                counters["sweeps_submitted"] += 1
-                counters["jobs_submitted"] += len(jobs)
-                counters["jobs_deduped"] += len(jobs) - len(ordered)
-                counters["jobs_cached"] += len(cached)
-                counters["jobs_coalesced"] += len(coalesced)
-                self._event(
-                    sweep,
-                    "sweep_submitted",
-                    total=len(ordered),
-                    cached=len(cached),
-                    coalesced=len(coalesced),
-                    queued=len(fresh),
-                    trace_id=trace_id,
+        # a refused sweep's admission span is not recorded: no sweep
+        # exists to export (and so free) it.
+        with self._cond:
+            cached: Dict[str, RunSummary] = {}
+            coalesced: List[str] = []
+            fresh: List[str] = []
+            for key, job in ordered.items():
+                if key in self._inflight:
+                    coalesced.append(key)
+                    continue
+                hit = self.cache.load(key)
+                if hit is not None:
+                    cached[key] = hit
+                else:
+                    fresh.append(key)
+            self._admit(tenant, [ordered[key] for key in fresh])
+            sweep = self._new_sweep(tenant, list(ordered), trace_id)
+            sweep.root_span = parent_span or admission.span_id
+            sweep.request_open = parent_span is not None
+            for key, job in ordered.items():
+                sweep.labels[key] = job.label()
+            for key in cached:
+                sweep.statuses[key] = JOB_CACHED
+            for key in coalesced:
+                entry = self._inflight[key]
+                entry.sweeps.append(sweep)
+                sweep.statuses[key] = (
+                    JOB_RUNNING if entry.state == JOB_RUNNING else JOB_QUEUED
                 )
-                for key in cached:
-                    self._event(sweep, "job_cached", key=key)
-                self._cond.notify_all()
-        except (QueueFullError, QuotaExceededError) as exc:
-            reason = (
-                "queue_full" if isinstance(exc, QueueFullError) else "quota"
+            enqueued_at = self.spans.now()
+            for key in fresh:
+                entry = _Entry(key, ordered[key], tenant)
+                entry.sweeps.append(sweep)
+                entry.trace_id = trace_id
+                entry.parent_span = (
+                    admission.span_id if self.spans.enabled else None
+                )
+                entry.enqueued = enqueued_at
+                self._inflight[key] = entry
+                self._dispatcher.submit(key, entry)
+                self._queued_count += 1
+                sweep.statuses[key] = JOB_QUEUED
+            # the registry lock takes no other lock, so counting under
+            # the broker's keeps lock order acyclic.
+            admitted = self.m_admitted
+            admitted.inc(len(fresh), tenant=tenant, outcome="queued")
+            admitted.inc(len(cached), tenant=tenant, outcome="cached")
+            admitted.inc(len(coalesced), tenant=tenant, outcome="coalesced")
+            admitted.inc(
+                len(jobs) - len(ordered), tenant=tenant, outcome="deduped"
             )
-            # the admission span is not recorded: no sweep exists to
-            # export (and so free) it.
-            self.m_rejects.inc(tenant=tenant, reason=reason)
-            raise
-        # registry accounting happens outside the broker lock: the
-        # registry has its own, and lock order must stay acyclic.
-        self.m_cache.inc(len(cached), outcome="hit")
-        self.m_cache.inc(len(coalesced), outcome="coalesced")
-        self.m_cache.inc(len(fresh), outcome="miss")
-        self.m_admitted.inc(len(fresh), tenant=tenant, outcome="queued")
-        self.m_admitted.inc(len(cached), tenant=tenant, outcome="cached")
-        self.m_admitted.inc(
-            len(coalesced), tenant=tenant, outcome="coalesced"
-        )
-        self.m_admitted.inc(
-            len(jobs) - len(ordered), tenant=tenant, outcome="deduped"
-        )
+            self._event(
+                sweep,
+                "sweep_submitted",
+                total=len(ordered),
+                cached=len(cached),
+                coalesced=len(coalesced),
+                queued=len(fresh),
+                trace_id=trace_id,
+            )
+            for key in cached:
+                self._event(sweep, "job_cached", key=key)
+            self._cond.notify_all()
         self.spans.end(
             admission,
             sweep_id=sweep.id,
@@ -580,7 +540,7 @@ class JobBroker:
         if not fresh_jobs:
             return
         if self._queued_count + len(fresh_jobs) > self.config.queue_limit:
-            self.counters["rejected_queue_full"] += 1
+            self.m_rejects.inc(tenant=tenant, reason="queue_full")
             raise QueueFullError(
                 f"admission queue full ({self._queued_count}/"
                 f"{self.config.queue_limit} queued); retry later",
@@ -588,7 +548,7 @@ class JobBroker:
             )
         jobs_after = self._tenant_jobs.get(tenant, 0) + len(fresh_jobs)
         if jobs_after > self.config.tenant_jobs:
-            self.counters["rejected_quota"] += 1
+            self.m_rejects.inc(tenant=tenant, reason="quota")
             raise QuotaExceededError(
                 f"tenant {tenant!r} would hold {jobs_after} queued jobs "
                 f"(limit {self.config.tenant_jobs})",
@@ -597,7 +557,7 @@ class JobBroker:
         instr = sum(job.quota * len(job.apps) for job in fresh_jobs)
         instr_after = self._tenant_instr.get(tenant, 0) + instr
         if instr_after > self.config.tenant_instructions:
-            self.counters["rejected_quota"] += 1
+            self.m_rejects.inc(tenant=tenant, reason="quota")
             raise QuotaExceededError(
                 f"tenant {tenant!r} would hold {instr_after} queued "
                 f"simulated instructions "
@@ -667,18 +627,13 @@ class JobBroker:
                 self._release_quota(entry)
                 del self._inflight[key]
                 cancelled.append(entry)
-                self.counters["jobs_cancelled"] += 1
+                self.m_completed.inc(tenant=entry.tenant, status="cancelled")
                 for subscriber in entry.sweeps:
                     subscriber.statuses[key] = JOB_CANCELLED
                     self._event(subscriber, "job_cancelled", key=key)
-            self.counters["sweeps_cancelled"] += 1
             self._cond.notify_all()
         for entry in cancelled:
             self._journal(entry, JOB_CANCELLED)
-        if cancelled:
-            self.m_completed.inc(
-                len(cancelled), tenant=sweep.tenant, status="cancelled"
-            )
         log.info(
             "sweep_cancelled",
             sweep=sweep_id,
@@ -716,12 +671,66 @@ class JobBroker:
                 self._cond.wait(remaining)
             return list(sweep.events[since:])
 
-    def metrics_snapshot(
-        self, requests: Optional[Dict[str, int]] = None
-    ) -> Dict[str, Any]:
-        """The /v1/metrics body (validated by the telemetry schema)."""
+    @property
+    def counters(self) -> Dict[str, int]:
+        """The ``jobs`` section of /v1/metrics: sums over the registry
+        counters that count each event, plus two counts from the sweep
+        table.  Nothing here is tallied on its own."""
         with self._lock:
-            counters = dict(self.counters)
+            sweeps = len(self._sweeps)
+            cancelled = sum(
+                1 for s in self._sweeps.values() if s.cancel_requested
+            )
+        admitted = self.m_admitted.sum_by("outcome")
+        completed = self.m_completed.sum_by("status")
+        rejects = self.m_rejects.sum_by("reason")
+        counts = {
+            "sweeps_submitted": sweeps,
+            "sweeps_cancelled": cancelled,
+            "jobs_submitted": sum(admitted.values()),
+            "jobs_deduped": admitted.get("deduped", 0),
+            "jobs_cached": admitted.get("cached", 0),
+            "jobs_coalesced": admitted.get("coalesced", 0),
+            "jobs_executed": completed.get("done", 0),
+            "jobs_failed": completed.get("failed", 0),
+            "jobs_cancelled": completed.get("cancelled", 0),
+            "jobs_retried": self.m_retries.total(),
+            "rejected_queue_full": rejects.get("queue_full", 0),
+            "rejected_quota": rejects.get("quota", 0),
+        }
+        return {name: int(value) for name, value in counts.items()}
+
+    def refresh_gauges(self) -> Dict[str, Any]:
+        """Bring the registry's point-in-time state up to now: the queue
+        and worker gauges, and the executor's health counters.  Both
+        /v1/metrics views call this before rendering, so a scrape reads
+        the same present a JSON call does.  Returns the executor's
+        liveness section."""
+        executor = self._dispatcher.executor
+        if executor is not None:
+            liveness = executor.liveness()
+            self._sync_executor_metrics(executor)
+        else:
+            liveness = {
+                "backend": "none", "workers": 0, "busy": 0,
+                "respawns": 0, "recycles": 0, "lease_reclaims": 0,
+            }
+        # ``repro_workers`` means worker *processes*: the inline serial
+        # backend has none, even though its liveness section reports
+        # one execution lane.
+        inline = executor is None or executor.inline
+        self.g_workers.set(0 if inline else liveness["workers"])
+        self.g_workers_busy.set(0 if inline else liveness["busy"])
+        with self._lock:
+            self.g_queue_depth.set(self._queued_count)
+            self.g_running.set(self._running_count)
+        return liveness
+
+    def metrics_snapshot(self) -> Dict[str, Any]:
+        """The /v1/metrics body (validated by the telemetry schema)."""
+        liveness = self.refresh_gauges()
+        counters = self.counters
+        with self._lock:
             tenants = {
                 tenant: {
                     "queued_jobs": jobs,
@@ -732,57 +741,40 @@ class JobBroker:
             sweeps_active = sum(
                 1 for s in self._sweeps.values() if s.state == SWEEP_RUNNING
             )
-            sweeps_total = len(self._sweeps)
-            queue = {
-                "depth": self._queued_count,
-                "running": self._running_count,
-                "limit": self.config.queue_limit,
-            }
-            digests = list(self.host_digests)
+            host_totals = self._host_totals
         uptime = time.perf_counter() - self._started_at
-        executor = self._dispatcher.executor
-        if executor is not None:
-            liveness = executor.liveness()
-            self._sync_executor_metrics(executor)
-        else:
-            liveness = {
-                "backend": "none", "workers": 0, "busy": 0,
-                "respawns": 0, "recycles": 0, "lease_reclaims": 0,
-            }
-        # the top-level ``workers`` count means worker *processes* —
-        # the inline serial backend has none, even though its liveness
-        # section reports one execution lane.
-        inline = executor is None or executor.inline
-        workers = 0 if inline else liveness["workers"]
-        busy = 0 if inline else liveness["busy"]
-        # refresh the point-in-time gauges so both views (JSON body,
-        # Prometheus exposition) see snapshot-fresh values.
-        self.g_queue_depth.set(queue["depth"])
-        self.g_running.set(queue["running"])
-        self.g_workers.set(workers)
-        self.g_workers_busy.set(busy)
-        snapshot: Dict[str, Any] = {
+        workers = int(self.g_workers.value())
+        return {
             "schema": METRICS_SCHEMA,
             "uptime_s": uptime,
             "workers": workers,
             "executor": liveness,
-            "queue": queue,
+            "queue": {
+                "depth": int(self.g_queue_depth.value()),
+                "running": int(self.g_running.value()),
+                "limit": self.config.queue_limit,
+            },
             "jobs": counters,
-            "sweeps": {"total": sweeps_total, "active": sweeps_active},
+            "sweeps": {
+                "total": counters["sweeps_submitted"], "active": sweeps_active
+            },
             "tenants": tenants,
             "limits": {
                 "tenant_jobs": self.config.tenant_jobs,
                 "tenant_instructions": self.config.tenant_instructions,
             },
             "metrics": self.registry.to_dict(),
-            "host": aggregate_host(
-                digests, workers=max(1, workers), wall_s=uptime or None
+            "host": host_summary(
+                host_totals, workers=max(1, workers), wall_s=uptime or None
             ),
             "phases": self.phase_timer.report(),
+            "requests": {
+                group: int(count)
+                for group, count in self.m_http.sum_by(
+                    "route", "status"
+                ).items()
+            },
         }
-        if requests is not None:
-            snapshot["requests"] = requests
-        return snapshot
 
     # -- the broker thread -----------------------------------------------------
     def _loop(self) -> None:
@@ -810,16 +802,19 @@ class JobBroker:
         swap to serial starts its own series)."""
         backend = executor.name
         self.g_executor_workers.set(executor.size, backend=backend)
-        for attr, metric in (
-            ("respawns", self.m_worker_respawns),
-            ("recycles", self.m_worker_recycles),
-            ("lease_reclaims", self.m_lease_reclaims),
-        ):
-            value = getattr(executor, attr)
-            seen = self._executor_seen.get((backend, attr), 0)
-            if value > seen:
-                metric.inc(value - seen, backend=backend)
-                self._executor_seen[(backend, attr)] = value
+        # the broker thread and every refresh both sync: the lock keeps
+        # two of them from feeding the same delta twice.
+        with self._lock:
+            for attr, metric in (
+                ("respawns", self.m_worker_respawns),
+                ("recycles", self.m_worker_recycles),
+                ("lease_reclaims", self.m_lease_reclaims),
+            ):
+                value = getattr(executor, attr)
+                seen = self._executor_seen.get((backend, attr), 0)
+                if value > seen:
+                    metric.inc(value - seen, backend=backend)
+                    self._executor_seen[(backend, attr)] = value
 
     def _begin_execution(self, entry: _Entry) -> None:
         """Dispatch-time observability (lock held): close the queue
@@ -920,13 +915,6 @@ class JobBroker:
                 spans = []
         return {"sweep": sweep.id, "trace_id": sweep.trace_id, "spans": spans}
 
-    def observe_http(
-        self, route: str, status: int, tenant: str, seconds: float
-    ) -> None:
-        """Per-request registry accounting, called by the HTTP layer."""
-        self.m_http.inc(route=route, status=status, tenant=tenant)
-        self.m_http_latency.observe(seconds, route=route)
-
     # -- dispatcher callbacks (broker thread) ----------------------------------
     def _on_dispatch(self, key: str, entry: _Entry) -> DispatchSpec:
         with self._cond:
@@ -950,9 +938,8 @@ class JobBroker:
     ) -> None:
         entry.attempts = attempts
         self._end_exec_span(entry, "retry", None)
-        self.m_retries.inc(tenant=entry.tenant)
         with self._cond:
-            self.counters["jobs_retried"] += 1
+            self.m_retries.inc(tenant=entry.tenant)
             self._requeue(entry, "job_retry", attempt=attempts, error=error)
         log.warning(
             "job_retry", key=key, attempt=attempts, error=error,
@@ -1003,12 +990,10 @@ class JobBroker:
             max(0.0, time.perf_counter() - entry.dispatched),
             tenant=entry.tenant,
         )
-        self.m_completed.inc(tenant=entry.tenant, status="done")
         digest = compact_host(summary.host)
         with self._cond:
-            self.counters["jobs_executed"] += 1
-            if summary.host:
-                self.host_digests.append(dict(summary.host))
+            self.m_completed.inc(tenant=entry.tenant, status="done")
+            self._host_totals = fold_host(self._host_totals, summary.host)
             entry.state = JOB_DONE
             self._running_count -= 1
             del self._inflight[entry.key]
@@ -1034,9 +1019,8 @@ class JobBroker:
             max(0.0, time.perf_counter() - entry.dispatched),
             tenant=entry.tenant,
         )
-        self.m_completed.inc(tenant=entry.tenant, status="failed")
         with self._cond:
-            self.counters["jobs_failed"] += 1
+            self.m_completed.inc(tenant=entry.tenant, status="failed")
             entry.state = JOB_FAILED
             self._running_count -= 1
             del self._inflight[entry.key]

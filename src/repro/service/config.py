@@ -13,8 +13,10 @@ import os
 from dataclasses import dataclass
 from typing import Optional
 
+from ..config import env_flag
 from ..errors import ConfigurationError
 from ..orchestrate.executor import EXECUTOR_KINDS
+from ..sanitize import env_override
 
 
 @dataclass(frozen=True)
@@ -65,7 +67,7 @@ class ServiceConfig:
     #: request-scoped tracing (repro.obs): mint/propagate trace ids,
     #: record spans, export per-sweep span artefacts.  Off makes every
     #: tracing hook a no-op (disabled-is-free); the metrics registry
-    #: stays on either way — it backs /v1/metrics.
+    #: is always on — it backs /v1/metrics.
     tracing: bool = True
     #: bound on spans held in memory; newest spans beyond it are
     #: dropped (and counted) rather than evicting parents.
@@ -112,7 +114,9 @@ class ServiceConfig:
             return cast(raw) if raw else default
 
         timeout = env.get("REPRO_SERVICE_JOB_TIMEOUT", "")
-        tracing_raw = env.get("REPRO_SERVICE_TRACING", "").strip().lower()
+        # jobs read REPRO_SANITIZE as they build their hierarchies;
+        # parsing it here makes a malformed value fail at boot.
+        env_override(False)
         return cls(
             host=_get("HOST", cls.host, str),
             port=_get("PORT", cls.port, int),
@@ -129,10 +133,6 @@ class ServiceConfig:
             job_timeout=float(timeout) if timeout else None,
             retries=_get("RETRIES", cls.retries, int),
             backoff=_get("BACKOFF", cls.backoff, float),
-            tracing=(
-                cls.tracing
-                if not tracing_raw
-                else tracing_raw not in ("0", "false", "no", "off")
-            ),
+            tracing=env_flag("REPRO_SERVICE_TRACING", cls.tracing),
             max_spans=_get("MAX_SPANS", cls.max_spans, int),
         )

@@ -30,6 +30,7 @@ import os
 from dataclasses import dataclass
 from typing import Tuple
 
+from ..config import env_flag
 from ..errors import ConfigurationError
 from .events import ALL_CATEGORIES
 
@@ -89,7 +90,7 @@ class TelemetryConfig:
             if token
         )
         return cls(
-            enabled=env.get("REPRO_TRACE", "") not in ("", "0"),
+            enabled=env_flag("REPRO_TRACE", False),
             out_dir=env.get("REPRO_TRACE_OUT", "traces"),
             sample=int(env.get("REPRO_TRACE_SAMPLE", 1)),
             interval=int(env.get("REPRO_TRACE_INTERVAL", 0)),

@@ -225,8 +225,7 @@ SERVICE_METRICS_SCHEMA: Dict = {
                 "tenant_instructions": {"type": "integer", "minimum": 0},
             },
         },
-        #: the labeled-registry dump (``repro.obs``); ``{}`` when the
-        #: registry is disabled, so the body shape never varies.
+        #: the labeled-registry dump (``repro.obs``).
         "metrics": {"type": "object"},
         "host": {"type": "object"},
         "phases": {"type": "object"},

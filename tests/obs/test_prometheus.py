@@ -45,11 +45,6 @@ class TestRender:
         assert '\\"' in text and "\\\\" in text and "\\n" in text
         assert check_exposition(text) == []
 
-    def test_disabled_registry_renders_empty(self):
-        reg = MetricsRegistry(enabled=False)
-        reg.counter("repro_x_total", "x").inc()
-        assert render_registry(reg) == ""
-
     def test_rendered_output_passes_checker(self, registry):
         assert check_exposition(render_registry(registry)) == []
 

@@ -52,13 +52,19 @@ def snapshot(completed=4.0, requests=10.0, queued=3):
                     }
                 ],
             },
-            "repro_result_cache_requests_total": {
+            "repro_jobs_admitted_total": {
                 "type": "counter",
                 "help": "h",
-                "labels": ["outcome"],
+                "labels": ["tenant", "outcome"],
                 "samples": [
-                    {"labels": {"outcome": "hit"}, "value": 2.0},
-                    {"labels": {"outcome": "miss"}, "value": 5.0},
+                    {
+                        "labels": {"tenant": "acme", "outcome": "cached"},
+                        "value": 2.0,
+                    },
+                    {
+                        "labels": {"tenant": "acme", "outcome": "queued"},
+                        "value": 5.0,
+                    },
                 ],
             },
             "repro_http_request_seconds": {

@@ -13,6 +13,7 @@ import time
 import pytest
 
 from repro.errors import QueueFullError, QuotaExceededError, SweepSpecError
+from repro.metrics.throughput import aggregate_host
 from repro.orchestrate import ResultCache, RunSummary, SimJob
 from repro.service import JobBroker, ServiceConfig
 from repro.telemetry.schema import SERVICE_METRICS_SCHEMA, check
@@ -256,6 +257,19 @@ class TestCancellation:
             assert (obs / f"spans-{sweep.id}.jsonl").exists()
         assert len(broker.spans) == 0
 
+    def test_drained_job_is_charged_to_the_tenant_that_queued_it(
+        self, tmp_path
+    ):
+        broker = make_broker(tmp_path, start=False)
+        alice = broker.submit([make_job()], tenant="alice")
+        bob = broker.submit([make_job()], tenant="bob")  # coalesces
+        assert broker.cancel(alice.id) == 0  # bob still waits on it
+        assert broker.cancel(bob.id) == 1
+        assert broker._tenant_jobs["alice"] == 0  # alice's slot came back
+        completed = broker.m_completed
+        assert completed.value(tenant="alice", status="cancelled") == 1
+        assert completed.value(tenant="bob", status="cancelled") == 0
+
     def test_cancelled_jobs_never_execute(self, tmp_path):
         executed = []
 
@@ -281,12 +295,37 @@ class TestObservability:
         try:
             sweep = broker.submit([make_job()])
             wait_terminal(broker, sweep)
-            snapshot = broker.metrics_snapshot(requests={"GET /v1/metrics 200": 1})
+            snapshot = broker.metrics_snapshot()
             assert check(snapshot, SERVICE_METRICS_SCHEMA) == []
             assert snapshot["jobs"]["jobs_executed"] == 1
             assert snapshot["sweeps"] == {"total": 1, "active": 0}
         finally:
             broker.stop()
+
+    def test_host_section_equals_aggregate_over_executed_digests(
+        self, tmp_path
+    ):
+        executed = []
+
+        def with_host(job):
+            summary = fake_summary(job)
+            summary.host = {
+                "instructions": 3 * job.quota,
+                "accesses": job.quota + 7,
+                "job_wall_s": job.quota / 30_011.0,
+            }
+            executed.append(summary.host)
+            return summary
+
+        broker = make_broker(tmp_path, execute=with_host)
+        try:
+            sweep = broker.submit([make_job(quota=1_000 + n) for n in range(6)])
+            wait_terminal(broker, sweep)
+            host = broker.metrics_snapshot()["host"]
+        finally:
+            broker.stop()
+        assert host["jobs"] == 6
+        assert host == aggregate_host(executed, wall_s=host["wall_s"])
 
     def test_wait_events_streams_progress(self, tmp_path):
         broker = make_broker(tmp_path)

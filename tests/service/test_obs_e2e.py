@@ -425,10 +425,10 @@ class TestCacheCounters:
             done = broker.submit([first])
             assert done.state == "done"
 
-            cache = broker.m_cache
-            hit = cache.value(outcome="hit")
-            coalesced = cache.value(outcome="coalesced")
-            miss = cache.value(outcome="miss")
+            admitted = broker.m_admitted.sum_by("outcome")
+            hit = admitted["cached"]
+            coalesced = admitted["coalesced"]
+            miss = admitted["queued"]
             submitted = broker.counters["jobs_submitted"]
             deduped = broker.counters["jobs_deduped"]
             assert (hit, coalesced, miss) == (1, 1, 2)

@@ -176,3 +176,96 @@ class TestSimAndPrefetchConfig:
         config = HierarchyConfig()
         with pytest.raises(dataclasses.FrozenInstanceError):
             config.num_cores = 4
+
+
+def check_switch(monkeypatch, name, read, default):
+    """``read()`` follows the boolean switch ``name`` as ``env_flag``
+    parses it, and a malformed value raises naming the variable."""
+    monkeypatch.delenv(name, raising=False)
+    assert read() is default
+    monkeypatch.setenv(name, "")
+    assert read() is default
+    for raw in ("1", "true", "YES", " On "):
+        monkeypatch.setenv(name, raw)
+        assert read() is True, raw
+    for raw in ("0", "False", "no", "OFF"):
+        monkeypatch.setenv(name, raw)
+        assert read() is False, raw
+    monkeypatch.setenv(name, "maybe")
+    with pytest.raises(ConfigurationError, match=name):
+        read()
+
+
+class TestBooleanEnvSwitches:
+    """Every boolean ``REPRO_*`` switch parses through ``env_flag``."""
+
+    def test_full(self, monkeypatch):
+        from repro.experiments import ExperimentSettings
+
+        monkeypatch.delenv("REPRO_SAMPLE", raising=False)
+        check_switch(
+            monkeypatch,
+            "REPRO_FULL",
+            lambda: ExperimentSettings.from_env().full,
+            False,
+        )
+        monkeypatch.setenv("REPRO_FULL", "false")
+        assert ExperimentSettings.from_env().sample == 24
+
+    def test_trace(self, monkeypatch):
+        from repro.telemetry import TelemetryConfig
+
+        check_switch(
+            monkeypatch,
+            "REPRO_TRACE",
+            lambda: TelemetryConfig.from_env().enabled,
+            False,
+        )
+
+    def test_host_phases(self, monkeypatch):
+        from repro.experiments import ExperimentSettings
+
+        check_switch(
+            monkeypatch,
+            "REPRO_HOST_PHASES",
+            lambda: ExperimentSettings.from_env().host_phases,
+            False,
+        )
+
+    def test_sanitize(self, monkeypatch):
+        from repro.config import SanitizeConfig
+        from repro.experiments import ExperimentSettings
+        from repro.sanitize import sanitizer_from_config
+        from repro.service import ServiceConfig
+
+        check_switch(
+            monkeypatch,
+            "REPRO_SANITIZE",
+            lambda: sanitizer_from_config(SanitizeConfig()) is not None,
+            False,
+        )
+        # both entry points parse it before any job builds a hierarchy
+        for from_env in (ExperimentSettings.from_env, ServiceConfig.from_env):
+            with pytest.raises(ConfigurationError, match="REPRO_SANITIZE"):
+                from_env()
+
+    def test_service_tracing(self, monkeypatch):
+        from repro.service import ServiceConfig
+
+        check_switch(
+            monkeypatch,
+            "REPRO_SERVICE_TRACING",
+            lambda: ServiceConfig.from_env().tracing,
+            True,
+        )
+
+    def test_manifest_fsync(self, monkeypatch, tmp_path):
+        from repro.orchestrate import SweepManifest
+        from repro.orchestrate.manifest import _fsync_from_env
+
+        check_switch(
+            monkeypatch, "REPRO_MANIFEST_FSYNC", _fsync_from_env, False
+        )
+        # opening a journal parses it, before the sweep runs a job
+        with pytest.raises(ConfigurationError, match="REPRO_MANIFEST_FSYNC"):
+            SweepManifest(tmp_path / "sweep-manifest.jsonl")
