@@ -157,12 +157,18 @@ class Cache:
             self.access = self._lru_access = self._make_lru_access()
         # ``fill`` likewise, but only for plain LRU: LIP and MRU change
         # the insertion stamp and the victim choice.
+        #: the installed LRU ``fill`` closure and the raw fill it wraps
+        #: (victim as a packed int, see ``_make_lru_fill_raw``), or
+        #: None.  The hierarchy's miss closure calls the raw fill, and
+        #: only while ``fill`` is still this closure.
+        self._lru_fill = self._lru_fill_raw = None
         if (
             type(self).fill is Cache.fill
             and type(self.policy) is LRUPolicy
             and not self._index_hash
         ):
-            self.fill = self._make_lru_fill()
+            self._lru_fill_raw = self._make_lru_fill_raw()
+            self.fill = self._lru_fill = self._make_lru_fill(self._lru_fill_raw)
         # ``promote`` likewise for the NRU LLC, which takes a TLH hint
         # per core-cache hit: setting a reference bit is the whole
         # policy update.
@@ -376,19 +382,45 @@ class Cache:
         self.fill_way(set_index, way, line_addr, dirty)
         return victim
 
-    def _make_lru_fill(self):
-        """Build the specialised fill closure (see __init__).
+    def _make_lru_fill(self, raw_fill):
+        """Build the specialised fill closure (see __init__) over
+        ``raw_fill``, which does the work: this closure only unpacks its
+        victim into an :class:`EvictedLine`.  A non-empty
+        ``exclude_ways`` takes the generic path (through a weak
+        reference, so the closure adds no cache -> closure -> cache
+        reference cycle).
+        """
+        cache_ref = weakref.ref(self)
+
+        def fill(
+            line_addr: int,
+            dirty: bool = False,
+            exclude_ways: Collection[int] = (),
+        ) -> Optional[EvictedLine]:
+            if exclude_ways:
+                return Cache.fill(cache_ref(), line_addr, dirty, exclude_ways)
+            victim = raw_fill(line_addr, dirty)
+            if victim is None:
+                return None
+            return EvictedLine(victim >> 1, bool(victim & 1))
+
+        return fill
+
+    def _make_lru_fill_raw(self):
+        """Build the raw LRU fill: :meth:`fill` without ``exclude_ways``,
+        returning the victim packed as ``line_addr << 1 | dirty`` (None
+        when no valid line was displaced).
 
         One body doing what :meth:`fill` does through
         :meth:`find_invalid_way`, ``select_victim``, :meth:`evict_way`
         and :meth:`fill_way` for an un-hashed cache under plain
         :class:`LRUPolicy`.  The victim is the lowest stamp: stamps are
-        pairwise distinct, so it is the way ``select_victim`` picks.  A
-        non-empty ``exclude_ways`` takes the generic path (through a
-        weak reference, so the closure adds no cache -> closure -> cache
-        reference cycle).
+        pairwise distinct, so it is the way ``select_victim`` picks.
+        Plain LRU keeps the set clock at the set's largest stamp, and
+        with two or more ways the evicted (smallest) stamp is not it,
+        so ``on_invalidate``'s clock resync is a no-op there; a 1-way
+        set resyncs to the evicted way's cold stamp.
         """
-        cache_ref = weakref.ref(self)
         res_map = self._map
         map_get = res_map.get
         stats = self.stats
@@ -402,14 +434,9 @@ class Cache:
         valid_find = self._valid.find
         valid = self._valid
         dirty_bits = self._dirty
+        one_way = assoc == 1
 
-        def fill(
-            line_addr: int,
-            dirty: bool = False,
-            exclude_ways: Collection[int] = (),
-        ) -> Optional[EvictedLine]:
-            if exclude_ways:
-                return Cache.fill(cache_ref(), line_addr, dirty, exclude_ways)
+        def raw_fill(line_addr: int, dirty: bool) -> Optional[int]:
             set_index = line_addr & set_mask
             base = set_index * assoc
             way = map_get(line_addr)
@@ -435,16 +462,16 @@ class Cache:
                 slot = base + way
                 victim_addr = addrs[slot]
                 victim_dirty = dirty_bits[slot]
-                victim = EvictedLine(victim_addr, bool(victim_dirty))
+                victim = victim_addr << 1 | victim_dirty
                 del res_map[victim_addr]
                 stats.evictions += 1
                 if victim_dirty:
                     stats.dirty_evictions += 1
-                # LRUPolicy.on_invalidate: cold stamp, clock resync.
+                # LRUPolicy.on_invalidate: cold stamp, clock resync (the
+                # fill below overwrites the cold stamp itself).
                 cold_stamp = cold[set_index] - 1
                 cold[set_index] = cold_stamp
-                stamp[slot] = cold_stamp
-                top = max(stamp[base:end]) + 1
+                top = (cold_stamp if one_way else clock[set_index]) + 1
             else:
                 way = slot - base
                 victim = None
@@ -459,7 +486,7 @@ class Cache:
             stats.fills += 1
             return victim
 
-        return fill
+        return raw_fill
 
     def invalidate(self, line_addr: int) -> Optional[EvictedLine]:
         """Remove ``line_addr`` if present; returns what was dropped.

@@ -31,8 +31,7 @@ class Directory:
 
     def on_fill_to_core(self, line_addr: int, core_id: int) -> None:
         """A copy of ``line_addr`` was sent toward ``core_id``'s caches."""
-        if not 0 <= core_id < self.num_cores:  # inline: runs per L2 miss
-            self._check_core(core_id)
+        self._check_core(core_id)
         sharers = self._sharers
         sharers[line_addr] = sharers.get(line_addr, 0) | (1 << core_id)
 

@@ -8,9 +8,11 @@ shared LLC — the methodology of paper Section IV.B.
 
 from __future__ import annotations
 
-from typing import Generator, Iterator, Optional, Tuple
+from typing import Callable, Generator, Iterator, Optional, Tuple
 
 from ..access import AccessType
+from ..cache import Cache
+from ..cache.replacement.nru import NRUPolicy
 from ..config import SimConfig
 from ..errors import SimulationError
 from ..hierarchy import HIT_LLC, BaseHierarchy
@@ -25,6 +27,41 @@ from .timing import CoreTimingModel
 # an Enum class costs a metaclass dict probe per record otherwise).
 _IFETCH = AccessType.IFETCH
 _STORE = AccessType.STORE
+
+#: the BaseHierarchy methods whose flow the miss closure inlines.
+_MISS_PATH_METHODS = (
+    "_beyond_l1", "_llc_demand", "_fill_core_l1", "_spill_to_l2", "_fill_llc",
+)
+
+
+def _miss_closure_applies(hierarchy: BaseHierarchy, core: CoreCaches) -> bool:
+    """May the bare loop take ``hierarchy._make_miss_path``'s closure?
+
+    Yes when the hierarchy class overrides none of the methods the
+    closure inlines (so the inclusive and non-inclusive modes, not the
+    exclusive or victim-cache ones), the core's L1s and L2 are exact
+    :class:`Cache` objects still carrying their plain-LRU ``fill``
+    closure (and the L2 its ``access`` closure), and the LLC is an exact
+    :class:`Cache` under plain un-hashed :class:`NRUPolicy` with its
+    class ``access``.  Called only by :meth:`SimulatedCore.burst_driver`.
+    """
+    cls = type(hierarchy)
+    if any(
+        getattr(cls, name) is not getattr(BaseHierarchy, name)
+        for name in _MISS_PATH_METHODS
+    ):
+        return False
+    for cache in (core.l1i, core.l1d, core.l2):
+        if type(cache) is not Cache or cache.fill is not cache._lru_fill:
+            return False
+    llc = hierarchy.llc
+    return (
+        core.l2.access is core.l2._lru_access
+        and type(llc) is Cache
+        and type(llc.policy) is NRUPolicy
+        and not llc._index_hash
+        and getattr(llc.access, "__func__", None) is Cache.access
+    )
 
 
 class SimulatedCore:
@@ -102,8 +139,11 @@ class SimulatedCore:
         ``access`` method.  The core runs :meth:`_bare_loop` when none
         of them is present and both L1s still carry the LRU ``access``
         closure whose body that loop inlines (stock LRU family,
-        un-hashed index); otherwise it runs :meth:`_probed_loop`.  This
-        is the only place the choice is made.  Returns a primed
+        un-hashed index); otherwise it runs :meth:`_probed_loop`.  The
+        bare loop sends its L1 misses to the hierarchy's miss closure
+        (``BaseHierarchy._make_miss_path``) where
+        :func:`_miss_closure_applies`, else to the bound ``_beyond_l1``.
+        This is the only place either choice is made.  Returns a primed
         generator: each ``send(stop_when_done)`` runs one burst of up
         to ``count`` records and yields ``(steps_executed,
         transitioned, exhausted)``, where ``transitioned`` reports
@@ -133,14 +173,18 @@ class SimulatedCore:
             and l1i.access is l1i._lru_access
             and l1d.access is l1d._lru_access
         ):
-            driver = self._bare_loop(core, count)
+            if _miss_closure_applies(hierarchy, core):
+                miss_path = hierarchy._make_miss_path(self.core_id)
+            else:
+                miss_path = hierarchy._beyond_l1
+            driver = self._bare_loop(core, miss_path, count)
         else:
             driver = self._probed_loop(count)
         next(driver)
         return driver
 
     def _bare_loop(
-        self, core: CoreCaches, count: int
+        self, core: CoreCaches, miss_path: Callable[..., int], count: int
     ) -> Generator[Tuple[int, bool, bool], bool, None]:
         """Generator body of :meth:`burst_driver` (hot path).
 
@@ -149,19 +193,20 @@ class SimulatedCore:
         refresh with ``last_hit_was_mru``, dirty bit, hit/miss
         counters) is inlined, as are the demand counters and the TLA hit
         hook where ``BaseHierarchy.access`` calls it; only L1 misses
-        call into the hierarchy.  Instruction and cycle counts live in
-        locals, flushed to the timing model around every out-of-frame
-        call and at every yield, so observable state is always
-        consistent between bursts — and the float operations (two adds
-        when a gap is present, one otherwise) are performed in exactly
-        the order ``CoreTimingModel.step_account`` performs them.  Only
+        call into the hierarchy, through ``miss_path`` (the miss closure
+        or ``_beyond_l1``, which share a signature and results).
+        Instruction and cycle counts live in locals, flushed to the
+        timing model around every out-of-frame call and at every yield,
+        so observable state is always consistent between bursts — and
+        the float operations (two adds when a gap is present, one
+        otherwise) are performed in exactly the order
+        ``CoreTimingModel.step_account`` performs them.  Only
         this core's own steps move its timing model, so the locals stay
         valid while the generator is suspended.
         """
         hierarchy = self.hierarchy
         timing = self.timing
         trace_next = self.trace.__next__
-        beyond_l1 = hierarchy._beyond_l1
         hit_hook = hierarchy._tla_hit_hook
         step_account = timing.step_account
         core_id = self.core_id
@@ -264,7 +309,7 @@ class SimulatedCore:
                 else:
                     timing.instructions = instructions
                     timing.cycles = cycles
-                    level = beyond_l1(
+                    level = miss_path(
                         core_id,
                         core,
                         stats if recording else None,

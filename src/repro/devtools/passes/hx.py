@@ -37,7 +37,8 @@ from ..project import FunctionInfo, ProjectIndex, dotted_parts
 from ..rules import Finding
 
 #: qualname suffixes registered as hot by default: the packed
-#: tag-store access, fill and NRU promote closures, the core's two
+#: tag-store access, fill, raw fill and NRU promote closures, the
+#: hierarchy's per-core L1-miss closure, the core's two
 #: loops (the ``_bare_loop`` and ``_probed_loop`` generators), the TLH
 #: hint closure's builder, the vectorised trace generator and its batch
 #: body, and the trace-batch memo's replay loop with the list
@@ -46,7 +47,9 @@ DEFAULT_HOT_SUFFIXES = (
     "Cache.access",
     "Cache._make_lru_access",
     "Cache._make_lru_fill",
+    "Cache._make_lru_fill_raw",
     "Cache._make_nru_promote",
+    "BaseHierarchy._make_miss_path",
     "SimulatedCore._bare_loop",
     "SimulatedCore._probed_loop",
     "TemporalLocalityHints.hit_hook",

@@ -260,6 +260,169 @@ class BaseHierarchy:
             timer.exit()
         return level
 
+    def _make_miss_path(self, core_id: int):
+        """Build core ``core_id``'s L1-miss closure for the bare loop.
+
+        The closure has :meth:`_beyond_l1`'s signature and results and
+        does the same work in one body over the captured arrays: the L2
+        probe through the L2's LRU ``access`` closure; the LLC probe,
+        the staged LLC fill (``_fill_llc``'s checks included) and the
+        NRU victim choice inline; the traffic counts and the directory
+        bit inline; the L1 fill and its L2 spill through the caches' raw
+        LRU fills, with victims held as packed ints.  It calls out only
+        where behaviour branches: the TLA policy's ``select_llc_victim``
+        and ``after_llc_miss_fill`` when the policy overrides them,
+        :meth:`_on_llc_eviction` on an LLC eviction, and
+        :meth:`_handle_l2_victim` for a dirty L2 victim (clean ones
+        vanish, as in every mode that can take this path).  With a
+        tracer attached it defers to :meth:`_beyond_l1`, so event
+        streams are the method's.
+
+        Exact only for the inclusive and non-inclusive flow on plain
+        un-hashed LRU core caches and a plain un-hashed NRU LLC, with
+        the phase timer off; ``SimulatedCore.burst_driver`` checks that
+        before asking for it.  The method stays the reference.
+        """
+        from ..core.tla import TLAPolicy
+
+        beyond_l1 = self._beyond_l1
+        hit_hook = self._tla_hit_hook
+        tla = self.tla
+        policy_cls = type(tla)
+        select_victim = (
+            None
+            if policy_cls.select_llc_victim is TLAPolicy.select_llc_victim
+            else tla.select_llc_victim
+        )
+        after_fill = (
+            None
+            if policy_cls.after_llc_miss_fill is TLAPolicy.after_llc_miss_fill
+            else tla.after_llc_miss_fill
+        )
+        on_llc_eviction = self._on_llc_eviction
+        handle_l2_victim = self._handle_l2_victim
+        counts = self.traffic.counts
+        llc_request = MessageType.LLC_REQUEST
+        memory_request = MessageType.MEMORY_REQUEST
+        sharers = self.directory._sharers
+        sharers_get = sharers.get
+        core_bit = 1 << core_id
+        core = self.cores[core_id]
+        i_fill = core.l1i._lru_fill_raw
+        d_fill = core.l1d._lru_fill_raw
+        l2_access = core.l2._lru_access
+        l2_fill = core.l2._lru_fill_raw
+        llc = self.llc
+        llc_name = llc.name
+        llc_map = llc._map
+        llc_get = llc._map_get
+        llc_stats = llc.stats
+        llc_mask = llc._set_mask
+        llc_assoc = llc.associativity
+        llc_addrs = llc._addrs
+        llc_valid = llc._valid
+        llc_valid_find = llc_valid.find
+        llc_dirty = llc._dirty
+        llc_ref = llc.policy._ref
+        llc_ref_find = llc_ref.find
+        llc_clear = llc.policy._clear
+
+        def miss_path(
+            core_id: int,
+            core: CoreCaches,
+            stats: Optional[CoreAccessStats],
+            line_addr: int,
+            is_ifetch: bool,
+            is_write: bool,
+        ) -> int:
+            if self.tracer is not None:
+                return beyond_l1(core_id, core, stats, line_addr, is_ifetch, is_write)
+            if stats is not None:
+                stats.l2_accesses += 1
+            if l2_access(line_addr):
+                level = HIT_L2
+            else:
+                if stats is not None:
+                    stats.l2_misses += 1
+                    stats.llc_accesses += 1
+                counts[llc_request] += 1
+                way = llc_get(line_addr)
+                if way is not None:
+                    # Cache.access under NRU: the hit sets the reference bit.
+                    llc_stats.hits += 1
+                    llc_ref[(line_addr & llc_mask) * llc_assoc + way] = 1
+                    level = HIT_LLC
+                else:
+                    llc_stats.misses += 1
+                    if stats is not None:
+                        stats.llc_misses += 1
+                    counts[memory_request] += 1
+                    level = HIT_MEMORY
+                    # _fill_llc, staged: invalid way, else the victim.
+                    if line_addr in llc_map:
+                        raise SimulationError("LLC fill for already-resident line")
+                    set_index = line_addr & llc_mask
+                    base = set_index * llc_assoc
+                    slot = llc_valid_find(0, base, base + llc_assoc)
+                    if slot >= 0:
+                        way = slot - base
+                        victim_addr = None
+                    else:
+                        if select_victim is None:
+                            # NRUPolicy.select_victim with no exclusions.
+                            slot = llc_ref_find(0, base, base + llc_assoc)
+                            if slot < 0:
+                                llc_ref[base:base + llc_assoc] = llc_clear
+                                slot = base
+                            way = slot - base
+                        else:
+                            way = select_victim(core_id, set_index)
+                            slot = base + way
+                            if not llc_valid[slot]:
+                                raise SimulationError(
+                                    f"{llc_name}: evicting invalid way {way} "
+                                    f"of set {set_index}"
+                                )
+                        # evict_way (the fill below rewrites the slot's
+                        # dirty and reference bits).
+                        victim_addr = llc_addrs[slot]
+                        victim_dirty = llc_dirty[slot]
+                        del llc_map[victim_addr]
+                        llc_valid[slot] = 0
+                        llc_stats.evictions += 1
+                        if victim_dirty:
+                            llc_stats.dirty_evictions += 1
+                    # fill_way + NRUPolicy.on_fill.
+                    if llc_valid[slot]:
+                        raise SimulationError(
+                            f"{llc_name}: filling over valid line in way {way} "
+                            f"of set {set_index}; evict first"
+                        )
+                    llc_addrs[slot] = line_addr
+                    llc_valid[slot] = 1
+                    llc_dirty[slot] = 0
+                    llc_map[line_addr] = way
+                    llc_ref[slot] = 1
+                    llc_stats.fills += 1
+                    if victim_addr is not None:
+                        on_llc_eviction(EvictedLine(victim_addr, bool(victim_dirty)))
+                    if after_fill is not None:
+                        after_fill(core_id, set_index, way, line_addr)
+            # _fill_core_l1: the L1 victim spills into the L2.
+            victim = (i_fill if is_ifetch else d_fill)(line_addr, is_write)
+            if victim is not None:
+                displaced = l2_fill(victim >> 1, victim & 1)
+                if displaced is not None and displaced & 1:
+                    handle_l2_victim(core, EvictedLine(displaced >> 1, True))
+            if level == HIT_L2:
+                if hit_hook is not None:
+                    hit_hook(core_id, "l2", line_addr)
+            else:
+                sharers[line_addr] = sharers_get(line_addr, 0) | core_bit
+            return level
+
+        return miss_path
+
     def prefetch(self, core_id: int, address: int) -> bool:
         """Prefetch a line into ``core_id``'s L2 (trained on L2 misses).
 

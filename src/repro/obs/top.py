@@ -28,6 +28,10 @@ from .metrics import quantile_from_buckets
 #: snapshot keys the view reads; absence means a pre-v2 server.
 REQUIRED_SECTIONS = ("queue", "tenants", "limits", "metrics")
 
+#: the NDJSON progress feed: one request lasts as long as the sweep it
+#: follows, so its series is left out of the HTTP latency quantiles.
+EVENTS_ROUTE = "GET /v1/sweeps/{id}/events"
+
 
 def fetch_metrics(base_url: str, timeout: float = 5.0) -> Dict[str, Any]:
     """GET ``{base_url}/v1/metrics`` and parse the JSON body."""
@@ -62,7 +66,8 @@ def _histogram_quantiles(
     qs: Sequence[float] = (0.5, 0.99),
     **match: str,
 ) -> Optional[List[Optional[float]]]:
-    """Quantiles over one histogram family, series merged bucket-wise."""
+    """Quantiles over one histogram family, series merged bucket-wise
+    (the :data:`EVENTS_ROUTE` series left out)."""
     family = metrics.get(name)
     if not family or family.get("type") != "histogram":
         return None
@@ -72,6 +77,8 @@ def _histogram_quantiles(
     for sample in family.get("samples", ()):
         labels = sample.get("labels", {})
         if not all(labels.get(k) == v for k, v in match.items()):
+            continue
+        if labels.get("route") == EVENTS_ROUTE:
             continue
         for index, count in enumerate(sample.get("counts", ())):
             merged[index] += count
@@ -189,7 +196,7 @@ def render_dashboard(view: Dict[str, Any], url: str = "") -> str:
         f"rates   requests {_fmt_rate(view['requests_per_s']):>10}"
         f"   jobs {_fmt_rate(view['jobs_per_s']):>10}",
         f"http    p50 {_fmt_seconds(view['http_p50']):>9}"
-        f"   p99 {_fmt_seconds(view['http_p99']):>9}",
+        f"   p99 {_fmt_seconds(view['http_p99']):>9}   (events stream excluded)",
         f"cache   hit {view['cache']['hit']:.0f}"
         f"  coalesced {view['cache']['coalesced']:.0f}"
         f"  miss {view['cache']['miss']:.0f}",
@@ -222,7 +229,8 @@ def render_report(view: Dict[str, Any], url: str = "") -> str:
         f"- queue: {queue.get('depth', 0)} queued / "
         f"{queue.get('running', 0)} running (limit {queue.get('limit', 0)})",
         f"- workers: {view['workers_busy']:.0f} busy of {view['workers']}",
-        f"- HTTP latency: p50 {_fmt_seconds(view['http_p50'])}, "
+        f"- HTTP latency (events stream excluded): "
+        f"p50 {_fmt_seconds(view['http_p50'])}, "
         f"p99 {_fmt_seconds(view['http_p99'])}",
         f"- result cache: {view['cache']['hit']:.0f} hits, "
         f"{view['cache']['coalesced']:.0f} coalesced, "

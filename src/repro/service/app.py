@@ -261,15 +261,18 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
 
     # -- handlers --------------------------------------------------------------
     def handle_healthz(self) -> None:
+        # The gauges /v1/metrics reports, refreshed the same way, but
+        # without building its snapshot (registry dump, phase report,
+        # sweep scans).
         broker = self.server.broker
-        snapshot = broker.metrics_snapshot()
+        broker.refresh_gauges()
         self._send_json(
             200,
             {
                 "status": "ok",
-                "workers": snapshot["workers"],
-                "queue_depth": snapshot["queue"]["depth"],
-                "uptime_s": snapshot["uptime_s"],
+                "workers": int(broker.g_workers.value()),
+                "queue_depth": int(broker.g_queue_depth.value()),
+                "uptime_s": broker.uptime_s,
             },
         )
 

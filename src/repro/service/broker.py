@@ -726,6 +726,11 @@ class JobBroker:
             self.g_running.set(self._running_count)
         return liveness
 
+    @property
+    def uptime_s(self) -> float:
+        """Seconds since :meth:`start`."""
+        return time.perf_counter() - self._started_at
+
     def metrics_snapshot(self) -> Dict[str, Any]:
         """The /v1/metrics body (validated by the telemetry schema)."""
         liveness = self.refresh_gauges()
@@ -742,7 +747,7 @@ class JobBroker:
                 1 for s in self._sweeps.values() if s.state == SWEEP_RUNNING
             )
             host_totals = self._host_totals
-        uptime = time.perf_counter() - self._started_at
+        uptime = self.uptime_s
         workers = int(self.g_workers.value())
         return {
             "schema": METRICS_SCHEMA,

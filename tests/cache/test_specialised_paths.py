@@ -90,6 +90,14 @@ class TestClosuresMatchGenericMethods:
         policy=st.sampled_from(["lru", "lip", "mru"]),
         ops=OPS,
     )
+    # Evictions from a 1-way set, where the evicted way was also the
+    # set's top stamp, so the set clock resyncs to its cold stamp.
+    @example(
+        sets=1,
+        ways=1,
+        policy="lru",
+        ops=[("fill", 0, False), ("fill", 1, True), ("fill", 2, False)],
+    )
     @settings(max_examples=150, deadline=None)
     def test_same_returns_and_state_after_every_op(self, sets, ways, policy, ops):
         fast = build_cache(sets, ways, policy)

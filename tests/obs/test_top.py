@@ -126,6 +126,24 @@ class TestDeriveView:
         assert view["http_p50"] == pytest.approx(0.1)
         assert view["http_p99"] == pytest.approx(0.982)
 
+    def test_events_stream_left_out_of_http_quantiles(self):
+        # One followed events stream lasts its sweep's whole run; merged
+        # in, it would be the p99 of a hundred 0.1-1 s requests.
+        body = snapshot()
+        body["metrics"]["repro_http_request_seconds"]["samples"].append(
+            {
+                "labels": {"route": "GET /v1/sweeps/{id}/events"},
+                "counts": [0, 0, 1],
+                "sum": 41.0,
+                "count": 1,
+            }
+        )
+        view = derive_view(body)
+        assert view["http_p50"] == pytest.approx(0.1)
+        assert view["http_p99"] == pytest.approx(0.982)
+        assert "events stream excluded" in render_dashboard(view)
+        assert "HTTP latency (events stream excluded)" in render_report(view)
+
     def test_tenant_headroom_against_limits(self):
         [row] = derive_view(snapshot(queued=3))["tenants"]
         assert row["tenant"] == "acme"

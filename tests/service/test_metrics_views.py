@@ -280,6 +280,54 @@ class TestFreshGauges:
             live.stop()
 
 
+class TestHealthz:
+    def test_answers_without_building_the_metrics_snapshot(
+        self, tmp_path, monkeypatch
+    ):
+        live = LiveService(tmp_path).start()
+        client = Connection(live)
+
+        def refuse():
+            raise AssertionError("healthz built the /v1/metrics snapshot")
+
+        monkeypatch.setattr(live.broker, "metrics_snapshot", refuse)
+        try:
+            status, body = client.call("GET", "/v1/healthz")
+            assert status == 200
+            assert body["status"] == "ok"
+            assert body["uptime_s"] >= 0
+        finally:
+            client.close()
+            live.stop()
+
+    def test_workers_and_queue_depth_match_metrics(self, tmp_path):
+        gate = threading.Event()
+        started = threading.Event()
+
+        def execute(job):
+            started.set()
+            assert gate.wait(10)
+            return fake_summary(job)
+
+        live = LiveService(tmp_path, execute=execute).start()
+        client = Connection(live)
+        try:
+            status, _ = client.submit(
+                "alice", make_job(), make_job(tla="qbs"), make_job(tla="eci")
+            )
+            assert status == 201
+            assert started.wait(10)
+            status, health = client.call("GET", "/v1/healthz")
+            assert status == 200
+            _, metrics = client.call("GET", "/v1/metrics")
+            assert health["queue_depth"] == metrics["queue"]["depth"] == 2
+            assert health["workers"] == metrics["workers"]
+        finally:
+            gate.set()
+            client.close()
+            live.stop()
+
+
 class TestConcurrentCounting:
     def test_concurrent_clients_lose_no_count(self, tmp_path):
         clients, rounds = 8, 10
