@@ -2,8 +2,8 @@
 
 Everything crossing a worker boundary must survive a pickle round
 trip, and nothing the orchestrator runs may depend on shared mutable
-module state — the two properties that make pluggable remote
-executors (and the shared ``ResultCache`` memoization tier) safe.
+module state — the two properties that make the worker pool (and
+the shared ``ResultCache`` memoization tier) safe.
 
 ``PX1`` *unpicklable object in a worker payload position*
     Lambdas, functions/classes defined locally inside the enclosing
@@ -27,16 +27,6 @@ executors (and the shared ``ResultCache`` memoization tier) safe.
     across ``fork``, absent under ``spawn``) or placed in a payload
     position (never picklable).
 
-``PX4`` *non-atomic write to a shared spool/bus file*
-    Inside modules whose name contains ``bus`` or ``spool`` — code
-    that other *processes* read concurrently — plain ``open(path,
-    "w"/"a")`` and ``Path.write_text``/``write_bytes`` publish partial
-    content: a reader (or a crash mid-write) observes a torn file.
-    Writes must go through an ``_atomic*`` helper (same-directory temp
-    file + ``os.replace``) or ``os.open`` with ``O_CREAT | O_EXCL``
-    for claim records; functions whose name starts with ``_atomic``
-    are the sanctioned implementation site and are exempt.
-
 Known false negatives, by design: payloads built dynamically
 (``setattr``, ``**kwargs`` dicts assembled elsewhere), unpicklable
 types hidden behind attribute aliases, and ``__main__``-module types
@@ -47,7 +37,7 @@ dynamic cases at runtime.
 from __future__ import annotations
 
 import ast
-from typing import Dict, List, Optional, Set
+from typing import List, Optional, Set
 
 from ..project import ModuleInfo, ProjectIndex, dotted_parts
 from ..rules import Finding
@@ -65,12 +55,6 @@ HANDLE_FACTORIES = frozenset(
         "BoundedSemaphore", "Event", "socket",
     }
 )
-
-#: module-name fragments marking cross-process spool code (PX4).
-SPOOL_MODULE_MARKERS = ("bus", "spool")
-
-#: methods that publish file content in one (non-atomic) call (PX4).
-NON_ATOMIC_WRITERS = frozenset({"write_text", "write_bytes"})
 
 #: constructor names treated as mutable-container factories (PX2).
 MUTABLE_FACTORIES = frozenset(
@@ -338,83 +322,6 @@ class _GlobalWriteScanner(ast.NodeVisitor):
         self.generic_visit(node)
 
 
-def _is_spool_module(module: ModuleInfo) -> bool:
-    """Does this module hold cross-process spool/bus code (PX4 scope)?"""
-    tail = module.name.rsplit(".", 1)[-1]
-    return any(marker in tail for marker in SPOOL_MODULE_MARKERS)
-
-
-class _SpoolWriteScanner(ast.NodeVisitor):
-    """PX4: non-atomic file publication inside a spool/bus module."""
-
-    def __init__(self, module: ModuleInfo, index: ProjectIndex) -> None:
-        self.module = module
-        self.index = index
-        self.findings: List[Finding] = []
-
-    def _report(self, node: ast.AST, message: str) -> None:
-        if self.module.allows(node.lineno, "PX4"):
-            return
-        symbol = (
-            self.index.enclosing_function(self.module, node.lineno)
-            or self.module.name
-        )
-        # functions named _atomic* ARE the sanctioned temp-file +
-        # os.replace implementation; everything else must call them.
-        if "_atomic" in (symbol or ""):
-            return
-        self.findings.append(
-            Finding(
-                path=self.module.rel,
-                line=node.lineno,
-                col=node.col_offset,
-                rule="PX4",
-                message=message,
-                symbol=symbol,
-            )
-        )
-
-    @staticmethod
-    def _write_mode(call: ast.Call) -> Optional[str]:
-        """The literal mode string of an ``open`` call, if it writes."""
-        mode: Optional[ast.expr] = None
-        if len(call.args) >= 2:
-            mode = call.args[1]
-        for kw in call.keywords:
-            if kw.arg == "mode":
-                mode = kw.value
-        if mode is None:
-            return None  # default "r": read-only
-        if isinstance(mode, ast.Constant) and isinstance(mode.value, str):
-            return mode.value if set(mode.value) & set("wax+") else None
-        return "<dynamic>"  # unprovably read-only: flag it
-
-    def visit_Call(self, node: ast.Call) -> None:
-        func = node.func
-        if isinstance(func, ast.Name) and func.id == "open":
-            mode = self._write_mode(node)
-            if mode is not None:
-                self._report(
-                    node,
-                    f"open(..., {mode!r}) in a spool module writes in "
-                    "place: concurrent readers in other processes see a "
-                    "torn file; publish via an _atomic* helper "
-                    "(temp file + os.replace) or os.open with O_EXCL",
-                )
-        elif (
-            isinstance(func, ast.Attribute)
-            and func.attr in NON_ATOMIC_WRITERS
-        ):
-            self._report(
-                node,
-                f".{func.attr}(...) in a spool module writes in place: "
-                "concurrent readers in other processes see a torn "
-                "file; publish via an _atomic* helper "
-                "(temp file + os.replace)",
-            )
-        self.generic_visit(node)
-
-
 def _module_level_handles(
     module: ModuleInfo, index: ProjectIndex
 ) -> List[Finding]:
@@ -465,10 +372,6 @@ def run_px_pass(index: ProjectIndex) -> List[Finding]:
             writes.visit(module.tree)
             findings.extend(writes.findings)
         findings.extend(_module_level_handles(module, index))
-        if _is_spool_module(module):
-            spool = _SpoolWriteScanner(module, index)
-            spool.visit(module.tree)
-            findings.extend(spool.findings)
     return findings
 
 
@@ -476,9 +379,7 @@ __all__ = [
     "HANDLE_FACTORIES",
     "MUTABLE_FACTORIES",
     "MUTATING_METHODS",
-    "NON_ATOMIC_WRITERS",
     "PAYLOAD_CONSTRUCTORS",
-    "SPOOL_MODULE_MARKERS",
     "SUBMIT_METHODS",
     "run_px_pass",
 ]

@@ -63,7 +63,6 @@ for _rule in (
     Rule("PX1", "PX", SEVERITY_ERROR, "unpicklable object in a worker payload position"),
     Rule("PX2", "PX", SEVERITY_ERROR, "module-level mutable global written after import"),
     Rule("PX3", "PX", SEVERITY_ERROR, "open handle or lock in shared/payload position"),
-    Rule("PX4", "PX", SEVERITY_ERROR, "non-atomic write to a shared spool/bus file"),
     # hot-path (repro.devtools.passes.hx)
     Rule("HX1", "HX", SEVERITY_WARNING, "per-iteration allocation in a hot loop"),
     Rule("HX2", "HX", SEVERITY_WARNING, "repeated attribute/global lookup in a hot loop"),

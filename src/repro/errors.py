@@ -74,14 +74,12 @@ class OrchestrationError(ExperimentError):
 class ExecutorConfigError(OrchestrationError):
     """An execution backend was *misconfigured* by the caller.
 
-    Unknown ``--executor``/``REPRO_EXECUTOR`` kind, a bus backend with
-    no spool directory, out-of-range lease/recycling knobs, an execute
-    callable the bus cannot ship by reference.  Distinguished from
-    environment failures (no subprocesses available on this box,
-    unreachable spool directory) so the scheduler can refuse a bad
-    configuration loudly instead of silently degrading to serial —
-    a user who asked for a distributed sweep must not discover at the
-    end that it ran single-threaded because of a typo.
+    An unknown executor kind, or a pool asked for no workers.
+    Distinguished from environment failures (no subprocesses available
+    on this box) so the scheduler can refuse a bad configuration
+    loudly instead of silently degrading to serial — a user who asked
+    for a parallel sweep must not discover at the end that it ran
+    single-threaded because of a typo.
     """
 
 

@@ -13,9 +13,7 @@ Fidelity knobs come from the environment (see
 ``REPRO_QUOTA``, ``REPRO_WARMUP``, ``REPRO_SAMPLE``, ``REPRO_FULL``,
 ``REPRO_JOBS``, ``REPRO_JOB_TIMEOUT``.  ``--jobs/-j`` overrides
 ``REPRO_JOBS`` and fans each driver's simulation grid out over that
-many worker processes; ``--executor serial|pool|bus`` (with
-``--bus-dir``/``--bus-spawn``) picks the execution backend, including
-the distributed filesystem bus.
+many worker processes (1 runs every job in-process).
 """
 
 from __future__ import annotations
@@ -56,29 +54,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         metavar="N",
         help="worker processes for the simulation grid "
         "(overrides REPRO_JOBS; 1 = serial)",
-    )
-    parser.add_argument(
-        "--executor",
-        choices=["serial", "pool", "bus"],
-        default=None,
-        help="execution backend for the grid (overrides REPRO_EXECUTOR; "
-        "default: serial when --jobs 1, the local pool otherwise)",
-    )
-    parser.add_argument(
-        "--bus-dir",
-        metavar="DIR",
-        default=None,
-        help="bus spool directory for --executor bus (overrides "
-        "REPRO_BUS_DIR); share it with "
-        "'python -m repro.orchestrate worker' processes",
-    )
-    parser.add_argument(
-        "--bus-spawn",
-        type=int,
-        metavar="N",
-        default=None,
-        help="local bus workers to spawn (overrides REPRO_BUS_SPAWN; "
-        "default: one per --jobs; 0 = externally managed workers)",
     )
     parser.add_argument(
         "--progress",
@@ -139,12 +114,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     settings = ExperimentSettings.from_env()
     if args.jobs is not None:
         settings = replace(settings, jobs=args.jobs)
-    if args.executor is not None:
-        settings = replace(settings, executor=args.executor)
-    if args.bus_dir is not None:
-        settings = replace(settings, bus_dir=args.bus_dir)
-    if args.bus_spawn is not None:
-        settings = replace(settings, bus_spawn=args.bus_spawn)
     telemetry_config = settings.telemetry
     if args.trace or args.trace_out is not None or args.trace_sample is not None:
         telemetry_config = TelemetryConfig(
@@ -177,7 +146,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         f"# settings: scale={settings.scale} quota={settings.quota} "
         f"warmup={settings.warmup} sample={settings.sample} "
         f"full={settings.full} jobs={settings.jobs}"
-        + (f" executor={settings.executor}" if settings.executor else "")
         + (
             f" trace={telemetry_config.out_dir}"
             if telemetry_config.active

@@ -58,11 +58,7 @@ class ExperimentSettings:
     ``REPRO_FULL=1`` (every 105-mix aggregate instead of a sample),
     ``REPRO_JOBS`` (worker processes for batch submissions; 1 =
     serial), ``REPRO_JOB_TIMEOUT`` (seconds per job before a
-    worker is killed and the job retried), ``REPRO_EXECUTOR``
-    (``serial``/``pool``/``bus`` backend selection; unset keeps the
-    jobs-count heuristic), ``REPRO_BUS_DIR`` / ``REPRO_BUS_SPAWN``
-    (bus spool directory and how many local bus workers to spawn;
-    0 = externally managed workers) and ``REPRO_HOST_PHASES=1``
+    worker is killed and the job retried) and ``REPRO_HOST_PHASES=1``
     (host phase timers on every job; see :mod:`repro.perf`).
     """
 
@@ -73,19 +69,11 @@ class ExperimentSettings:
     sample: int = 24
     full: bool = False
     cache_dir: Optional[str] = ".repro-cache"
-    #: worker processes for ``Runner.run_many``; 1 runs in-process.
+    #: worker processes for ``Runner.run_many``; 1 runs in-process
+    #: on the serial executor, more on the local worker pool.
     jobs: int = 1
     #: per-job timeout in seconds (parallel runs only); None = none.
     job_timeout: Optional[float] = None
-    #: execution backend for batch runs: ``serial``, ``pool`` or
-    #: ``bus``; None keeps the historical heuristic (serial when
-    #: ``jobs <= 1``, the local pool otherwise).
-    executor: Optional[str] = None
-    #: bus spool directory (required with ``executor="bus"``).
-    bus_dir: Optional[str] = None
-    #: local bus workers to spawn; None = one per ``jobs``, 0 = rely
-    #: on externally started ``python -m repro.orchestrate worker``.
-    bus_spawn: Optional[int] = None
     #: telemetry knobs (event tracing / interval series); default off
     #: so settings-driven runs take the exact pre-telemetry path.
     telemetry: TelemetryConfig = TelemetryConfig()
@@ -111,13 +99,6 @@ class ExperimentSettings:
             cache_dir=env.get("REPRO_CACHE_DIR", ".repro-cache"),
             jobs=int(env.get("REPRO_JOBS", 1)),
             job_timeout=float(timeout) if timeout else None,
-            executor=env.get("REPRO_EXECUTOR") or None,
-            bus_dir=env.get("REPRO_BUS_DIR") or None,
-            bus_spawn=(
-                int(env["REPRO_BUS_SPAWN"])
-                if env.get("REPRO_BUS_SPAWN", "") != ""
-                else None
-            ),
             telemetry=TelemetryConfig.from_env(),
             host_phases=env_flag("REPRO_HOST_PHASES", False),
         )
@@ -310,9 +291,6 @@ class Runner:
             reporter=self.reporter,
             telemetry=self.telemetry,
             phase_timer=self.phase_timer,
-            executor=self.settings.executor,
-            bus_dir=self.settings.bus_dir,
-            bus_spawn=self.settings.bus_spawn,
         )
         results = orchestrator.run(sim_jobs)
         self.host_digests.extend(orchestrator.host_digests)

@@ -20,11 +20,8 @@ as fast as the machine allows:
   protocol (submit/poll/close/liveness), the event kinds, the
   in-process :class:`SerialExecutor` and :func:`resolve_executor`.
 * :mod:`~repro.orchestrate.pool` — :class:`WorkerPool`, the ``pool``
-  backend: one process per worker with per-job timeout, kill, respawn
-  and ``max_jobs_per_worker`` recycling.
-* :mod:`~repro.orchestrate.bus` — :class:`BusExecutor` and
-  :class:`BusWorker`, a filesystem message bus for distributed sweeps
-  with lease/heartbeat crash recovery.
+  backend: one process per worker with per-job timeout, kill and
+  respawn.
 * :mod:`~repro.orchestrate.scheduler` — :class:`Orchestrator`, the
   policy layer: dedup, bounded retry with exponential backoff,
   graceful degradation to serial execution, failure reporting.
@@ -35,16 +32,13 @@ hands them here.  ``REPRO_JOBS`` / ``--jobs`` select the worker count
 (1 = serial, no subprocesses at all).
 """
 
-from .bus import BusExecutor, BusWorker, FileBus
 from .cache import ResultCache
 from .executor import EXECUTOR_KINDS, Executor, SerialExecutor, resolve_executor
 from .job import CACHE_SCHEMA, RunSummary, SimJob, execute_job, job_key
 from .manifest import (
     STATUS_CANCELLED,
-    STATUS_CLAIMED,
     STATUS_DONE,
     STATUS_FAILED,
-    STATUS_RECLAIMED,
     ManifestRecord,
     SweepManifest,
 )
@@ -52,21 +46,16 @@ from .pool import WorkerPool
 from .scheduler import Orchestrator, compact_host
 
 __all__ = [
-    "BusExecutor",
-    "BusWorker",
     "CACHE_SCHEMA",
     "EXECUTOR_KINDS",
     "Executor",
-    "FileBus",
     "ManifestRecord",
     "Orchestrator",
     "ResultCache",
     "RunSummary",
     "STATUS_CANCELLED",
-    "STATUS_CLAIMED",
     "STATUS_DONE",
     "STATUS_FAILED",
-    "STATUS_RECLAIMED",
     "SerialExecutor",
     "SimJob",
     "SweepManifest",

@@ -1,23 +1,19 @@
-"""The executor protocol: one scheduler, pluggable execution backends.
+"""The executor protocol: one scheduler, two execution backends.
 
 The scheduler's :class:`~repro.orchestrate.scheduler.Dispatcher` owns
 *policy* — retry with backoff, degrade, failure reporting — and
 delegates *mechanism* to an :class:`Executor`: something that accepts
 ``submit(key, job)``, reports terminal ``(kind, key, payload)`` events
 from ``poll()``, and answers liveness questions (how many workers, how
-many busy, how many died).  Three backends conform:
+many busy, how many died).  Two backends conform:
 
 * :class:`SerialExecutor` — executes jobs in-process on the calling
   thread; the no-subprocess fallback and the ``jobs=1`` default.
 * :class:`~repro.orchestrate.pool.WorkerPool` — one process per
   worker on this host, each behind its own duplex pipe, with per-job
   timeout kill and respawn.
-* :class:`~repro.orchestrate.bus.BusExecutor` — a filesystem message
-  bus where independent ``python -m repro.orchestrate worker``
-  processes (this host or any host sharing the directory) claim jobs
-  under lease/heartbeat records.
 
-Because every backend speaks the same protocol, the scheduler loop is
+Because both backends speak the same protocol, the scheduler loop is
 written once, and the golden guarantee — cache entries byte-identical
 across backends — holds by construction: workers only compute
 summaries; cache writes always go through the same
@@ -66,22 +62,9 @@ class Executor:
     busy_count: int = 0
     #: unplanned worker deaths (health signal; see MAX_RESPAWNS).
     respawns: int = 0
-    #: planned worker respawns (``max_jobs_per_worker`` rotation).
-    recycles: int = 0
-    #: jobs reclaimed from expired leases (bus backends only).
-    lease_reclaims: int = 0
 
-    def submit(
-        self,
-        key: str,
-        job: Any,
-        trace_id: Optional[str] = None,
-        label: Optional[str] = None,
-    ) -> None:
-        """Hand a job to the backend.  ``trace_id``/``label`` are
-        advisory metadata: in-process backends ignore them, the bus
-        threads them through its envelopes so remote journal records
-        join the request trace."""
+    def submit(self, key: str, job: Any) -> None:
+        """Hand a job to the backend; called only while :attr:`has_idle`."""
         raise NotImplementedError
 
     def poll(self, wait: float = 0.05) -> List[ExecutorEvent]:
@@ -101,8 +84,6 @@ class Executor:
             "workers": self.size,
             "busy": self.busy_count,
             "respawns": self.respawns,
-            "recycles": self.recycles,
-            "lease_reclaims": self.lease_reclaims,
         }
 
 
@@ -124,13 +105,7 @@ class SerialExecutor(Executor):
         self._execute = execute
         self._pending: Optional[Tuple[str, Any]] = None
 
-    def submit(
-        self,
-        key: str,
-        job: Any,
-        trace_id: Optional[str] = None,
-        label: Optional[str] = None,
-    ) -> None:
+    def submit(self, key: str, job: Any) -> None:
         if self._pending is not None:
             raise OrchestrationError("submit() called with no idle worker")
         self._pending = (key, job)
@@ -151,8 +126,8 @@ class SerialExecutor(Executor):
         return 1 if self._pending is not None else 0
 
 
-#: accepted ``--executor`` / ``REPRO_EXECUTOR`` spellings.
-EXECUTOR_KINDS = ("serial", "pool", "bus")
+#: accepted executor kind names (the service's ``--executor``).
+EXECUTOR_KINDS = ("serial", "pool")
 
 
 def resolve_executor(
@@ -161,24 +136,17 @@ def resolve_executor(
     execute: Callable[[Any], Any],
     timeout: Optional[float] = None,
     context=None,
-    bus_dir: Optional[str] = None,
-    bus_spawn: Optional[int] = None,
-    cache_dir: Optional[str] = None,
-    lease_timeout: Optional[float] = None,
 ) -> Executor:
     """Build an executor from a spec: an instance, a kind name or None.
 
-    ``None`` keeps the historical behaviour — serial for ``jobs <= 1``,
-    the local pool otherwise.  A string names a backend explicitly;
-    ``"bus"`` needs ``bus_dir`` and spawns ``bus_spawn`` local worker
-    processes (default ``jobs``; 0 relies on externally started
-    workers).  An :class:`Executor` instance is returned as-is, so
-    tests and services can inject pre-built backends.
+    ``None`` picks serial for ``jobs <= 1`` and the local pool
+    otherwise.  A string names a backend explicitly.  An
+    :class:`Executor` instance is returned as-is, so tests and
+    services can inject pre-built backends.
 
-    Misconfiguration — an unknown kind, ``"bus"`` without a directory
-    — raises :class:`~repro.errors.ExecutorConfigError`; callers must
-    surface it, not degrade, so a typo cannot silently turn a
-    distributed sweep into a serial one.
+    An unknown kind raises :class:`~repro.errors.ExecutorConfigError`;
+    callers must surface it, not degrade, so a typo cannot silently
+    turn a parallel sweep into a serial one.
     """
     if isinstance(spec, Executor):
         return spec
@@ -190,25 +158,6 @@ def resolve_executor(
         from .pool import WorkerPool
 
         return WorkerPool(max(1, jobs), execute, timeout=timeout, context=context)
-    if spec == "bus":
-        if not bus_dir:
-            raise ExecutorConfigError(
-                "the bus executor needs a bus directory "
-                "(--bus-dir / REPRO_BUS_DIR)"
-            )
-        from .bus import BusExecutor
-
-        kwargs: Dict[str, Any] = {}
-        if lease_timeout is not None:
-            kwargs["lease_timeout"] = lease_timeout
-        return BusExecutor(
-            bus_dir,
-            execute=execute,
-            spawn_workers=jobs if bus_spawn is None else bus_spawn,
-            timeout=timeout,
-            cache_dir=cache_dir,
-            **kwargs,
-        )
     raise ExecutorConfigError(
         f"unknown executor {spec!r}; expected one of {EXECUTOR_KINDS}"
     )

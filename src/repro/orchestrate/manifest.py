@@ -25,12 +25,6 @@ STATUS_DONE = "done"
 STATUS_FAILED = "failed"
 #: drained from the queue before execution (never ran, nothing cached).
 STATUS_CANCELLED = "cancelled"
-#: informational (non-terminal) states journalled by the bus backend:
-#: a worker took a lease on the job / the parent reclaimed an expired
-#: lease.  ``done_keys()``/``failed()`` ignore them by construction —
-#: a claimed job that never reports back is simply retried on resume.
-STATUS_CLAIMED = "claimed"
-STATUS_RECLAIMED = "reclaimed"
 
 #: opt-in environment switch: fsync every appended record so a host
 #: that loses power (not just the process) cannot tear the journal.
@@ -62,9 +56,6 @@ class ManifestRecord:
     #: request trace this outcome belongs to (repro.obs); None for
     #: journals written before tracing existed or untraced runs.
     trace_id: Optional[str] = None
-    #: bus worker id that claimed/executed the job; None for in-process
-    #: backends and journals written before distributed sweeps existed.
-    worker: Optional[str] = None
 
 
 class SweepManifest:
@@ -72,18 +63,15 @@ class SweepManifest:
 
     One journal file, one writing process: crash-tolerance relies on
     O_APPEND single-write atomicity, which shared filesystems (NFS) do
-    not guarantee across hosts — which is why the bus gives every
-    worker its own journal file instead of sharing this one.
+    not guarantee across hosts.
     """
 
-    def __init__(self, path: Union[str, Path], fsync: Optional[bool] = None) -> None:
+    def __init__(self, path: Union[str, Path]) -> None:
         self.path = Path(path)
-        #: None defers to REPRO_MANIFEST_FSYNC at each append; it is
-        #: parsed once here too, so a malformed value fails before the
-        #: sweep that journals here runs a job.
-        self.fsync = fsync
-        if fsync is None:
-            _fsync_from_env()
+        # REPRO_MANIFEST_FSYNC is read at each append; parsing it here
+        # too makes a malformed value fail before the sweep that
+        # journals here runs a job.
+        _fsync_from_env()
 
     def record(
         self,
@@ -95,15 +83,9 @@ class SweepManifest:
         category: Optional[str] = None,
         host: Optional[Dict] = None,
         trace_id: Optional[str] = None,
-        worker: Optional[str] = None,
-        fsync: Optional[bool] = None,
     ) -> None:
-        """Append one outcome line; flushed so a later crash keeps it.
-
-        ``fsync=True`` forces the record through to disk (lease records
-        must survive host power loss, not just process death); the
-        default inherits the manifest-level / environment setting.
-        """
+        """Append one outcome line; flushed so a later crash keeps it,
+        and fsynced too when ``REPRO_MANIFEST_FSYNC`` is on."""
         entry = {"key": key, "status": status, "attempts": attempts}
         if error is not None:
             entry["error"] = error
@@ -115,10 +97,6 @@ class SweepManifest:
             entry["host"] = host
         if trace_id is not None:
             entry["trace_id"] = trace_id
-        if worker is not None:
-            entry["worker"] = worker
-        if fsync is None:
-            fsync = self.fsync if self.fsync is not None else _fsync_from_env()
         self.path.parent.mkdir(parents=True, exist_ok=True)
         # A sweep killed mid-append leaves a line without its newline;
         # terminate it first so the partial line poisons nothing else.
@@ -131,20 +109,17 @@ class SweepManifest:
         if needs_newline:
             data = "\n" + data
         # One O_APPEND write.  POSIX append atomicity holds for writes
-        # this small on local filesystems but NOT on NFS, so every
-        # journal file has exactly one writing process: the
-        # orchestrator/broker owns the sweep manifest, the bus parent
-        # owns journal.jsonl, and each bus worker appends claims to
-        # its own journal.<worker_id>.jsonl (merged on read via
-        # FileBus.journal_paths).  The single write still matters —
-        # it keeps a same-process signal arriving mid-append from
-        # tearing a record.
+        # this small on local filesystems but NOT on NFS, so the
+        # journal has exactly one writing process: the orchestrator or
+        # the broker.  The single write still matters — it keeps a
+        # same-process signal arriving mid-append from tearing a
+        # record.
         fd = os.open(
             str(self.path), os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o644
         )
         try:
             os.write(fd, data.encode("utf-8"))
-            if fsync:
+            if _fsync_from_env():
                 os.fsync(fd)
         finally:
             os.close(fd)
@@ -173,7 +148,6 @@ class SweepManifest:
                 category=entry.get("category"),
                 host=entry.get("host"),
                 trace_id=entry.get("trace_id"),
-                worker=entry.get("worker"),
             )
         return records
 

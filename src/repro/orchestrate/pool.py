@@ -70,7 +70,6 @@ class _Worker:
         self.conn = conn
         self.key: Optional[str] = None  # job key in flight, None if idle
         self.started: float = 0.0  # perf_counter at submit
-        self.jobs_done: int = 0  # completed jobs, drives recycling
 
     @property
     def busy(self) -> bool:
@@ -101,18 +100,13 @@ class WorkerPool(Executor):
         execute: Callable[[Any], Any],
         timeout: Optional[float] = None,
         context=None,
-        max_jobs_per_worker: Optional[int] = None,
     ) -> None:
         if num_workers <= 0:
             raise ExecutorConfigError("worker pool needs at least one worker")
-        if max_jobs_per_worker is not None and max_jobs_per_worker < 1:
-            raise ExecutorConfigError("max_jobs_per_worker must be >= 1")
         self._execute = execute
         self._timeout = timeout
-        self._max_jobs = max_jobs_per_worker
         self._ctx = context if context is not None else multiprocessing.get_context()
         self.respawns = 0
-        self.recycles = 0
         self._workers: List[_Worker] = []
         try:
             for _ in range(num_workers):
@@ -150,17 +144,6 @@ class WorkerPool(Executor):
         self.respawns += 1
         self._workers[self._workers.index(worker)] = self._spawn()
 
-    def _recycle(self, worker: _Worker) -> None:
-        """Retire a healthy worker that hit ``max_jobs_per_worker``.
-
-        Unlike :meth:`_replace` this is a planned rotation (memory-drift
-        bound on long sweeps), so it asks the idle worker to exit and
-        counts under ``recycles``, not the ``respawns`` health signal.
-        """
-        worker.shutdown()
-        self.recycles += 1
-        self._workers[self._workers.index(worker)] = self._spawn()
-
     def close(self) -> None:
         for worker in self._workers:
             worker.shutdown()
@@ -175,13 +158,7 @@ class WorkerPool(Executor):
     def busy_count(self) -> int:
         return sum(1 for worker in self._workers if worker.busy)
 
-    def submit(
-        self,
-        key: str,
-        job: Any,
-        trace_id: Optional[str] = None,
-        label: Optional[str] = None,
-    ) -> None:
+    def submit(self, key: str, job: Any) -> None:
         for worker in self._workers:
             if not worker.busy:
                 try:
@@ -217,10 +194,7 @@ class WorkerPool(Executor):
                     self._replace(worker)
                     continue
                 worker.key = None
-                worker.jobs_done += 1
                 events.append((kind, key, payload))
-                if self._max_jobs is not None and worker.jobs_done >= self._max_jobs:
-                    self._recycle(worker)
         if self._timeout is not None:
             now = time.perf_counter()
             for worker in list(self._workers):

@@ -4,9 +4,9 @@
 :class:`~repro.orchestrate.job.SimJob`), collapses duplicates by job
 key, serves everything already in the result cache, and executes only
 the remainder on a pluggable :class:`~repro.orchestrate.executor.
-Executor` backend — in-process (``serial``), a local process pool
-(``pool``, the default for ``jobs > 1``), or a shared-directory
-message bus with workers on any host (``bus``).  The scheduling loop
+Executor` backend — in-process (``serial``, the default for
+``jobs <= 1``) or a local process pool (``pool``, the default for
+``jobs > 1``).  The scheduling loop
 is :class:`Dispatcher`, the only one in the repository: ``run`` steps
 it until one batch is decided, the service broker for the life of the
 service.  It dispatches while the backend has capacity, drains
@@ -14,15 +14,13 @@ terminal events, and retries failures with exponential backoff up to a
 bounded number of attempts.  Jobs that keep failing are journalled to
 the :class:`~repro.orchestrate.manifest.SweepManifest` and reported in
 one :class:`~repro.errors.OrchestrationError` at the end (completed
-work stays cached, so a re-run only re-executes the failures).  If a
-multi-process backend cannot be built *by the environment* (no
-subprocesses on this box, unreachable bus) or keeps losing workers,
-the sweep degrades to serial execution — with a prominent warning —
-instead of aborting: slower, never wrong.  A *misconfigured* backend
-(unknown executor kind, bus with no directory) raises
+work stays cached, so a re-run only re-executes the failures).  If the
+pool cannot be built *by the environment* (no subprocesses on this
+box) or keeps losing workers, the sweep degrades to serial execution
+— with a prominent warning — instead of aborting: slower, never
+wrong.  A *misconfigured* backend (an unknown executor kind) raises
 :class:`~repro.errors.ExecutorConfigError` instead of degrading, so a
-typo cannot silently serialize a sweep the user believes is
-distributed.
+typo cannot silently serialize a sweep the user believes is parallel.
 """
 
 from __future__ import annotations
@@ -52,17 +50,13 @@ log = get_logger("repro.orchestrate")
 #: killer, fork bombs elsewhere on the box) must not spin forever.
 MAX_RESPAWNS = 8
 
-#: ``on_dispatch`` verdict: what to submit, or None to drop the job.
-DispatchSpec = Optional[Tuple[Any, Optional[str], Optional[str]]]
-
 
 class Dispatcher:
     """The scheduling loop, one :meth:`step` at a time.
 
     The owner decides what outcomes mean, through callbacks run on the
-    stepping thread: ``on_dispatch(key, job)`` returns ``(payload,
-    trace_id, label)`` to submit, or None to drop a job cancelled while
-    queued; ``on_done``/``on_retry``/``on_fail(key, job, result or
+    stepping thread: ``on_dispatch(key, job)`` returns the payload to
+    submit, or None to drop a job cancelled while queued; ``on_done``/``on_retry``/``on_fail(key, job, result or
     error, attempts)`` classify each terminal event; ``on_requeue(key,
     job)`` sees each job stranded on a backend that lost more than
     :data:`MAX_RESPAWNS` workers, requeued without charging the attempt
@@ -79,7 +73,7 @@ class Dispatcher:
         self,
         executor: Optional[Executor],
         execute: Callable[[Any], Any],
-        on_dispatch: Callable[[str, Any], DispatchSpec],
+        on_dispatch: Callable[[str, Any], Any],
         on_done: Callable[[str, Any, Any, int], None],
         on_retry: Callable[[str, Any, str, int], None],
         on_fail: Callable[[str, Any, str, int], None],
@@ -175,11 +169,10 @@ class Dispatcher:
             if ready_at > now:
                 queue.append(entry)
                 continue
-            spec = self._on_dispatch(key, job)
-            if spec is None:
+            payload = self._on_dispatch(key, job)
+            if payload is None:
                 continue
-            payload, trace_id, label = spec
-            executor.submit(key, payload, trace_id=trace_id, label=label)
+            executor.submit(key, payload)
             self._running[key] = (job, attempts)
 
     def _idle(self, wait: float) -> None:
@@ -229,9 +222,6 @@ class Orchestrator:
         telemetry=None,
         phase_timer=None,
         executor=None,
-        bus_dir: Optional[str] = None,
-        bus_spawn: Optional[int] = None,
-        lease_timeout: Optional[float] = None,
     ) -> None:
         if retries < 0:
             raise OrchestrationError("retries must be >= 0")
@@ -248,14 +238,9 @@ class Orchestrator:
         self.reporter = reporter
         self.context = context
         #: execution backend: None (serial for jobs=1, pool otherwise),
-        #: a kind name (``"serial"``/``"pool"``/``"bus"``), or a
-        #: pre-built :class:`Executor` instance.
+        #: a kind name (``"serial"``/``"pool"``), or a pre-built
+        #: :class:`Executor` instance.
         self.executor = executor
-        self.bus_dir = bus_dir
-        #: local bus workers to spawn (None = one per scheduler slot;
-        #: 0 = rely on externally launched workers).
-        self.bus_spawn = bus_spawn
-        self.lease_timeout = lease_timeout
         #: optional :class:`repro.telemetry.RunTelemetry` collecting
         #: per-job provenance (wall/CPU time, retries, cache hits) for
         #: the Chrome trace and the enriched run manifest.
@@ -338,9 +323,9 @@ class Orchestrator:
             )
         return results
 
-    def _on_dispatch(self, key: str, job: Any) -> DispatchSpec:
+    def _on_dispatch(self, key: str, job: Any) -> Any:
         self._started.setdefault(key, self._now())
-        return job, self._trace_id(), self._label(job)
+        return job
 
     # -- execution -------------------------------------------------------------
     def _requested_backend(self) -> str:
@@ -366,21 +351,16 @@ class Orchestrator:
                 self.execute,
                 timeout=self.timeout,
                 context=self.context,
-                bus_dir=self.bus_dir,
-                bus_spawn=self.bus_spawn,
-                cache_dir=getattr(self.cache, "directory", None),
-                lease_timeout=self.lease_timeout,
             )
         except ExecutorConfigError:
-            # A misconfigured backend (unknown kind, bus with no
-            # directory) must fail loudly — degrading would run a sweep
-            # the user believes is distributed single-threaded, with no
-            # sign anything is off.
+            # A misconfigured backend (an unknown kind) must fail
+            # loudly — degrading would run a sweep the user believes is
+            # parallel single-threaded, with no sign anything is off.
             raise
         except OrchestrationError as exc:
             # The *environment* could not build the backend (no
-            # subprocesses on this box, unreachable bus); degrade to
-            # serial — slower, never wrong — and say so prominently.
+            # subprocesses on this box); degrade to serial — slower,
+            # never wrong — and say so prominently.
             log.warning(
                 "executor_degraded",
                 requested=self._requested_backend(),

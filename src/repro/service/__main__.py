@@ -20,7 +20,7 @@ from ..errors import ConfigurationError
 from ..telemetry import get_logger
 from .app import create_server
 from .broker import JobBroker
-from .config import ServiceConfig
+from .config import SERVICE_EXECUTORS, ServiceConfig
 
 log = get_logger("repro.service.main")
 
@@ -41,14 +41,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--executor",
-        choices=["auto", "serial", "pool", "bus"],
+        choices=SERVICE_EXECUTORS,
         help="execution backend (default auto: serial when --workers 0, "
         "the local pool otherwise)",
-    )
-    parser.add_argument(
-        "--bus-dir",
-        help="bus spool directory shared with external workers "
-        "(required with --executor bus)",
     )
     parser.add_argument(
         "--queue-limit", type=int, help="global bound on queued jobs"
@@ -102,7 +97,6 @@ def config_from_args(args: argparse.Namespace) -> ServiceConfig:
             "port",
             "workers",
             "executor",
-            "bus_dir",
             "queue_limit",
             "max_sweep_jobs",
             "tenant_jobs",

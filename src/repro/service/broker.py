@@ -2,9 +2,9 @@
 
 The broker is the service's only owner of compute: a single
 :class:`~repro.orchestrate.Executor` backend — serial (inline on the
-broker thread), the local worker pool, or the filesystem bus for
-distributed workers, selected by ``config.executor`` — and a single
-process-wide :class:`~repro.orchestrate.ResultCache`.  Every sweep
+broker thread) or the local worker pool, selected by
+``config.executor`` — and a single process-wide
+:class:`~repro.orchestrate.ResultCache`.  Every sweep
 any client
 submits is decomposed into :class:`~repro.orchestrate.SimJob` entries
 keyed by :func:`~repro.orchestrate.job_key`, and the key is the whole
@@ -35,7 +35,7 @@ Threading model: HTTP handler threads only touch broker state under
 ``self._lock`` (submit / snapshot / cancel / event waits); new entries
 reach the dispatcher through its any-thread ``submit``.  The broker
 thread alone steps the dispatcher and so owns the executor: worker
-pipes and bus spools never see concurrent access from this process.
+pipes never see concurrent access from this process.
 """
 
 from __future__ import annotations
@@ -69,7 +69,7 @@ from ..orchestrate.executor import (
     SerialExecutor,
     resolve_executor,
 )
-from ..orchestrate.scheduler import Dispatcher, DispatchSpec
+from ..orchestrate.scheduler import Dispatcher
 from ..perf import PHASE_ORCHESTRATE, PhaseTimer
 from ..telemetry import get_logger
 from .config import ServiceConfig
@@ -96,9 +96,9 @@ _TERMINAL = frozenset({JOB_DONE, JOB_FAILED, JOB_CANCELLED, JOB_CACHED})
 
 #: bump when the /v1/metrics payload shape changes.  v2 adds the
 #: ``limits`` section and the labeled ``metrics`` registry dump; v3
-#: adds the ``executor`` liveness section (backend, workers, respawns,
-#: recycles, lease reclaims).
-METRICS_SCHEMA = 3
+#: adds the ``executor`` liveness section; v4 narrows it to backend,
+#: workers, busy and respawns.
+METRICS_SCHEMA = 4
 
 
 class _Entry:
@@ -253,7 +253,7 @@ class JobBroker:
         self._export_lock = threading.Lock()
         #: the scheduling loop, stepped by the broker thread.  Its
         #: backend is built in :meth:`start` from ``config.executor``
-        #: (serial / pool / bus), degraded to :class:`SerialExecutor`
+        #: (serial / pool), degraded to :class:`SerialExecutor`
         #: when it cannot be built or loses too many workers.
         self._dispatcher = Dispatcher(
             None,
@@ -268,9 +268,9 @@ class JobBroker:
             phase_timer=self.phase_timer,
             sleep=self._idle,
         )
-        #: last-synced cumulative health counters per backend, so the
-        #: registry's monotonic counters only receive deltas.
-        self._executor_seen: Dict[Any, int] = {}
+        #: last-synced respawn count per backend, so the registry's
+        #: monotonic counter only receives deltas.
+        self._respawns_seen: Dict[str, int] = {}
         self._queued_count = 0
         self._running_count = 0
         self._sweep_seq = 0
@@ -339,29 +339,17 @@ class JobBroker:
             "Live workers, labeled by execution backend.",
             ["backend"],
         )
-        self.m_lease_reclaims = reg.counter(
-            "repro_lease_reclaims_total",
-            "Bus jobs reclaimed from expired worker leases.",
-            ["backend"],
-        )
         self.m_worker_respawns = reg.counter(
             "repro_worker_respawns_total",
             "Unplanned worker deaths that forced a respawn.",
-            ["backend"],
-        )
-        self.m_worker_recycles = reg.counter(
-            "repro_worker_recycles_total",
-            "Planned worker rotations (max_jobs_per_worker).",
             ["backend"],
         )
 
     # -- lifecycle -------------------------------------------------------------
     def _make_executor(self) -> Executor:
         """Build the configured backend, degrading to serial on any
-        construction failure (no subprocesses available, no bus
-        directory, an execute function the bus cannot ship by
-        reference) — a service must boot and serve even when its
-        preferred backend cannot."""
+        construction failure (no subprocesses available) — a service
+        must boot and serve even when its preferred backend cannot."""
         cfg = self.config
         kind = cfg.executor
         if kind == "auto":
@@ -372,9 +360,6 @@ class JobBroker:
                 max(1, cfg.workers),
                 self.execute,
                 timeout=cfg.job_timeout,
-                bus_dir=cfg.bus_dir,
-                bus_spawn=cfg.workers,
-                cache_dir=self.cache.directory,
             )
         except Exception as exc:  # noqa: BLE001 — degrade, don't die
             log.warning("executor_unavailable", backend=kind, error=str(exc))
@@ -702,7 +687,7 @@ class JobBroker:
 
     def refresh_gauges(self) -> Dict[str, Any]:
         """Bring the registry's point-in-time state up to now: the queue
-        and worker gauges, and the executor's health counters.  Both
+        and worker gauges, and the executor's respawn count.  Both
         /v1/metrics views call this before rendering, so a scrape reads
         the same present a JSON call does.  Returns the executor's
         liveness section."""
@@ -711,10 +696,7 @@ class JobBroker:
             liveness = executor.liveness()
             self._sync_executor_metrics(executor)
         else:
-            liveness = {
-                "backend": "none", "workers": 0, "busy": 0,
-                "respawns": 0, "recycles": 0, "lease_reclaims": 0,
-            }
+            liveness = {"backend": "none", "workers": 0, "busy": 0, "respawns": 0}
         # ``repro_workers`` means worker *processes*: the inline serial
         # backend has none, even though its liveness section reports
         # one execution lane.
@@ -801,7 +783,7 @@ class JobBroker:
                 self._cond.wait(seconds)
 
     def _sync_executor_metrics(self, executor: Executor) -> None:
-        """Mirror the backend's cumulative health counters into the
+        """Mirror the backend's cumulative respawn count into the
         labeled registry.  Registry counters only go up, so each sync
         feeds the delta since the last one (per backend — a degraded
         swap to serial starts its own series)."""
@@ -810,16 +792,11 @@ class JobBroker:
         # the broker thread and every refresh both sync: the lock keeps
         # two of them from feeding the same delta twice.
         with self._lock:
-            for attr, metric in (
-                ("respawns", self.m_worker_respawns),
-                ("recycles", self.m_worker_recycles),
-                ("lease_reclaims", self.m_lease_reclaims),
-            ):
-                value = getattr(executor, attr)
-                seen = self._executor_seen.get((backend, attr), 0)
-                if value > seen:
-                    metric.inc(value - seen, backend=backend)
-                    self._executor_seen[(backend, attr)] = value
+            value = executor.respawns
+            seen = self._respawns_seen.get(backend, 0)
+            if value > seen:
+                self.m_worker_respawns.inc(value - seen, backend=backend)
+                self._respawns_seen[backend] = value
 
     def _begin_execution(self, entry: _Entry) -> None:
         """Dispatch-time observability (lock held): close the queue
@@ -921,7 +898,7 @@ class JobBroker:
         return {"sweep": sweep.id, "trace_id": sweep.trace_id, "spans": spans}
 
     # -- dispatcher callbacks (broker thread) ----------------------------------
-    def _on_dispatch(self, key: str, entry: _Entry) -> DispatchSpec:
+    def _on_dispatch(self, key: str, entry: _Entry) -> Optional[SimJob]:
         with self._cond:
             if entry.state != JOB_QUEUED:
                 return None  # cancelled while queued
@@ -936,7 +913,7 @@ class JobBroker:
                     sweep, "job_started", key=key, attempt=entry.attempts + 1
                 )
             self._cond.notify_all()
-        return entry.job, entry.trace_id, entry.job.label()
+        return entry.job
 
     def _on_retry(
         self, key: str, entry: _Entry, error: str, attempts: int
@@ -985,9 +962,7 @@ class JobBroker:
         entry.attempts = attempts
         # Single-writer discipline as in the CLI orchestrator: only
         # the broker thread stores, so entries are byte-identical to
-        # serial/CLI ones (and writes are atomic).  Bus workers may
-        # have published the same key already — same bytes, so the
-        # second store is an idempotent overwrite, never a conflict.
+        # serial/CLI ones (and writes are atomic).
         self.cache.store(entry.key, summary)
         self._journal(entry, JOB_DONE, host=compact_host(summary.host))
         self._end_exec_span(entry, "done", summary.host)

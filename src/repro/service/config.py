@@ -18,6 +18,9 @@ from ..errors import ConfigurationError
 from ..orchestrate.executor import EXECUTOR_KINDS
 from ..sanitize import env_override
 
+#: accepted ``--executor`` / ``REPRO_SERVICE_EXECUTOR`` values.
+SERVICE_EXECUTORS = ("auto",) + EXECUTOR_KINDS
+
 
 @dataclass(frozen=True)
 class ServiceConfig:
@@ -38,12 +41,8 @@ class ServiceConfig:
     #: the broker thread (no subprocesses — the serial fallback mode).
     workers: int = 2
     #: execution backend: ``auto`` (serial when ``workers == 0``, the
-    #: local pool otherwise), ``serial``, ``pool``, or ``bus`` (a
-    #: filesystem spool shared with external worker processes; see
-    #: :mod:`repro.orchestrate.bus`).
+    #: local pool otherwise), ``serial`` or ``pool``.
     executor: str = "auto"
-    #: bus spool directory; required when ``executor == "bus"``.
-    bus_dir: Optional[str] = None
     #: bound on queued (admitted, not yet dispatched) jobs, all tenants.
     queue_limit: int = 256
     #: largest number of jobs one sweep submission may expand to.
@@ -76,15 +75,10 @@ class ServiceConfig:
     def __post_init__(self) -> None:
         if self.workers < 0:
             raise ConfigurationError("workers must be >= 0")
-        if self.executor not in ("auto",) + EXECUTOR_KINDS:
+        if self.executor not in SERVICE_EXECUTORS:
             raise ConfigurationError(
-                f"executor must be one of {('auto',) + EXECUTOR_KINDS}, "
+                f"executor must be one of {SERVICE_EXECUTORS}, "
                 f"not {self.executor!r}"
-            )
-        if self.executor == "bus" and not self.bus_dir:
-            raise ConfigurationError(
-                "the bus executor needs a spool directory "
-                "(--bus-dir / REPRO_SERVICE_BUS_DIR)"
             )
         if not 0 <= self.port <= 65535:
             raise ConfigurationError("port must be in [0, 65535]")
@@ -122,7 +116,6 @@ class ServiceConfig:
             port=_get("PORT", cls.port, int),
             workers=_get("WORKERS", cls.workers, int),
             executor=_get("EXECUTOR", cls.executor, str),
-            bus_dir=env.get("REPRO_SERVICE_BUS_DIR") or cls.bus_dir,
             queue_limit=_get("QUEUE_LIMIT", cls.queue_limit, int),
             max_sweep_jobs=_get("MAX_SWEEP_JOBS", cls.max_sweep_jobs, int),
             tenant_jobs=_get("TENANT_JOBS", cls.tenant_jobs, int),

@@ -1,8 +1,10 @@
 """``python -m repro.telemetry`` — validate exported telemetry artefacts.
 
 ``validate <dir>`` checks every artefact found in a trace output
-directory against the checked-in schemas: ``events-*.jsonl`` files,
-``trace.json``, ``run-manifest.json`` and ``service-metrics.json``.
+directory or result cache against the checked-in schemas:
+``events-*.jsonl`` and ``spans-*.jsonl`` files, ``trace.json``,
+``run-manifest.json``, ``service-metrics.json``, ``eval-report*.json``
+and a cache's ``sweep-manifest.jsonl``.
 ``validate <file>`` checks a single saved ``GET /v1/metrics`` response
 body.  Exits non-zero if any file fails, so CI can gate on exporter
 drift.
@@ -24,6 +26,7 @@ from .schema import (
     validate_run_manifest,
     validate_service_metrics,
     validate_spans_jsonl,
+    validate_sweep_manifest,
 )
 
 log = get_logger("repro.telemetry")
@@ -54,6 +57,10 @@ def validate_dir(out_dir: Path) -> int:
     for path in sorted(out_dir.glob("eval-report*.json")):
         checked += 1
         failures += _report(path, validate_eval_report(path))
+    journal = out_dir / "sweep-manifest.jsonl"
+    if journal.exists():
+        checked += 1
+        failures += _report(journal, validate_sweep_manifest(journal))
     if checked == 0:
         log.error("no_artifacts", dir=str(out_dir))
         return 1

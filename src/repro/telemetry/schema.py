@@ -146,26 +146,16 @@ SERVICE_METRICS_SCHEMA: Dict = {
         "schema": {"type": "integer", "minimum": 1},
         "uptime_s": {"type": "number", "minimum": 0},
         "workers": {"type": "integer", "minimum": 0},
-        #: backend liveness (schema v3): the executor's own view of its
-        #: capacity and health; bus backends add live_workers and
-        #: spool_depth on top of the required core.
+        #: backend liveness: the executor's own view of its capacity
+        #: and health.
         "executor": {
             "type": "object",
-            "required": [
-                "backend",
-                "workers",
-                "busy",
-                "respawns",
-                "recycles",
-                "lease_reclaims",
-            ],
+            "required": ["backend", "workers", "busy", "respawns"],
             "properties": {
                 "backend": {"type": "string"},
                 "workers": {"type": "integer", "minimum": 0},
                 "busy": {"type": "integer", "minimum": 0},
                 "respawns": {"type": "integer", "minimum": 0},
-                "recycles": {"type": "integer", "minimum": 0},
-                "lease_reclaims": {"type": "integer", "minimum": 0},
             },
         },
         "queue": {
@@ -342,25 +332,19 @@ EVAL_REPORT_SCHEMA: Dict = {
 }
 
 
-#: one line of a :class:`repro.orchestrate.SweepManifest` journal —
-#: both the per-sweep outcome manifest and the bus journal (which adds
-#: ``claimed``/``reclaimed`` lease records with a ``worker`` id).
+#: one line of a :class:`repro.orchestrate.SweepManifest` journal.
 SWEEP_MANIFEST_SCHEMA: Dict = {
     "type": "object",
     "required": ["key", "status"],
     "properties": {
         "key": {"type": "string"},
-        "status": {
-            "type": "string",
-            "enum": ["done", "failed", "cancelled", "claimed", "reclaimed"],
-        },
+        "status": {"type": "string", "enum": ["done", "failed", "cancelled"]},
         "attempts": {"type": "integer", "minimum": 0},
         "error": {"type": "string"},
         "label": {"type": "string"},
         "category": {"type": "string"},
         "host": {"type": "object"},
         "trace_id": {"type": "string"},
-        "worker": {"type": "string"},
     },
 }
 
@@ -480,7 +464,7 @@ def validate_service_metrics(path: Union[str, Path]) -> List[str]:
 
 
 def validate_sweep_manifest(path: Union[str, Path]) -> List[str]:
-    """Validate every line of a sweep manifest / bus journal.
+    """Validate every line of a sweep manifest.
 
     A trailing partial line (torn by a crash mid-append) is the
     journal's documented failure mode and is tolerated, matching

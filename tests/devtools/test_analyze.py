@@ -42,7 +42,6 @@ FIXTURE_RULES = [
     ("px1_payload", "PX1"),
     ("px2_global", "PX2"),
     ("px3_handle", "PX3"),
-    ("px4_spool", "PX4"),
     ("hx1_alloc", "HX1"),
     ("hx2_attr", "HX2"),
     ("hx3_try", "HX3"),

@@ -35,7 +35,7 @@ class FakeExecutor(Executor):
         self.inflight = []
         self.closed = False
 
-    def submit(self, key, job, trace_id=None, label=None):
+    def submit(self, key, job):
         self.submitted.append((key, time.perf_counter()))
         self.inflight.append(key)
 
@@ -82,7 +82,7 @@ class Recorder:
         if key in self.drop:
             self.log.append(("dropped", key))
             return None
-        return job, None, key
+        return job
 
     def on_done(self, key, job, result, attempts):
         self.log.append(("done", key, attempts))

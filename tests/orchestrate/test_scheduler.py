@@ -172,7 +172,7 @@ class TestSerialFallback:
             def __init__(self):
                 self.submitted = []
 
-            def submit(self, key, job, trace_id=None, label=None):
+            def submit(self, key, job):
                 self.submitted.append(key)
 
             def poll(self, wait=0.05):

@@ -463,7 +463,7 @@ class TestDegradeRequeue:
             def __init__(self):
                 self.submitted = []
 
-            def submit(self, key, job, trace_id=None, label=None):
+            def submit(self, key, job):
                 self.submitted.append(key)
 
             def poll(self, wait=0.05):
@@ -507,29 +507,3 @@ class TestDegradeRequeue:
         finally:
             broker.stop()
 
-
-class TestBusBackend:
-    def test_sweep_through_bus_worker_serves_results(self, tmp_path):
-        """The HTTP tier scales out transparently: a bus-backed broker
-        runs the sweep in separate worker processes, and the finished
-        results are served from the same shared cache."""
-        broker = make_broker(
-            tmp_path,
-            workers=1,
-            executor="bus",
-            bus_dir=str(tmp_path / "bus"),
-        )
-        try:
-            sweep = broker.submit([make_job(), make_job(tla="qbs")])
-            wait_terminal(broker, sweep, timeout=90.0)
-            assert sweep.state == "done"
-            for key in sweep.keys:
-                summary = broker.result(key)
-                assert summary is not None
-                assert summary.mix == "MIX_00"
-            metrics = broker.metrics_snapshot()
-            assert check(metrics, SERVICE_METRICS_SCHEMA) == []
-            assert metrics["executor"]["backend"] == "bus"
-            assert metrics["executor"]["workers"] >= 1
-        finally:
-            broker.stop()

@@ -380,3 +380,33 @@ class TestConcurrentCounting:
         assert metrics["jobs"]["jobs_submitted"] == total
         assert metrics["jobs"]["jobs_executed"] == total
         assert metrics["queue"]["depth"] == metrics["queue"]["running"] == 0
+
+
+class TestExecutorSection:
+    """Both backends report the same four liveness fields, and the
+    scrape carries no lease-reclaim or recycle family."""
+
+    def test_liveness_fields_and_families(self, tmp_path):
+        for workers, backend in ((0, "serial"), (1, "pool")):
+            live = LiveService(tmp_path / backend, workers=workers).start()
+            client = Connection(live)
+            try:
+                status, metrics = client.call("GET", "/v1/metrics")
+                assert status == 200
+                assert metrics["executor"] == {
+                    "backend": backend, "workers": 1, "busy": 0, "respawns": 0,
+                }
+                status, text = client.call("GET", "/v1/metrics?format=prometheus")
+                assert status == 200
+                families = {
+                    line.split()[2]
+                    for line in text.splitlines()
+                    if line.startswith("# TYPE ")
+                }
+                assert "repro_worker_respawns_total" in families
+                assert not families & {
+                    "repro_lease_reclaims_total", "repro_worker_recycles_total",
+                }
+            finally:
+                client.close()
+                live.stop()

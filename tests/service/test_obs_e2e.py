@@ -331,7 +331,7 @@ class TestMetricsSurface:
             service.wait_done(body["sweep"]["id"])
             _, metrics, _ = service.request("GET", "/v1/metrics")
             assert check(metrics, SERVICE_METRICS_SCHEMA, "metrics") == []
-            assert metrics["schema"] == 3
+            assert metrics["schema"] == 4
             assert metrics["executor"]["backend"] == "serial"
             exec_hist = metrics["metrics"]["repro_job_exec_seconds"]
             [sample] = exec_hist["samples"]

@@ -5,7 +5,8 @@ from repro.telemetry import (
     EVENT_SCHEMA,
     RUN_MANIFEST_SCHEMA,
 )
-from repro.telemetry.schema import check
+from repro.telemetry.__main__ import main as telemetry_main
+from repro.telemetry.schema import check, validate_sweep_manifest
 
 
 class TestCheck:
@@ -80,3 +81,55 @@ class TestCheck:
             ],
         }
         assert check(manifest, RUN_MANIFEST_SCHEMA) == []
+
+
+class TestSweepManifest:
+    """``validate_sweep_manifest`` and ``validate <dir>`` on a cache."""
+
+    GOOD = '{"attempts": 1, "key": "k1", "status": "done"}\n'
+
+    def test_real_manifest_passes(self, tmp_path):
+        from repro.experiments import ExperimentSettings, Runner
+        from repro.workloads import WorkloadMix
+
+        settings = ExperimentSettings(
+            scale=0.0625, quota=2_000, warmup=500, cache_dir=str(tmp_path)
+        )
+        mix = WorkloadMix("MIX_SCHEMA", ("dea", "pov"))
+        Runner(settings).run_many(
+            [{"mix": mix}, {"mix": mix, "tla": "qbs"}], jobs=1
+        )
+        journal = tmp_path / Runner.MANIFEST_NAME
+        assert len(journal.read_text().splitlines()) == 2
+        assert validate_sweep_manifest(journal) == []
+        assert telemetry_main(["validate", str(tmp_path)]) == 0
+
+    def test_torn_last_line_is_tolerated(self, tmp_path):
+        journal = tmp_path / "sweep-manifest.jsonl"
+        journal.write_text(self.GOOD + '{"key": "k2", "sta')
+        assert validate_sweep_manifest(journal) == []
+
+    def test_malformed_middle_line_fails(self, tmp_path):
+        journal = tmp_path / "sweep-manifest.jsonl"
+        journal.write_text(self.GOOD + '{"key": "k2", "sta\n' + self.GOOD)
+        errors = validate_sweep_manifest(journal)
+        assert len(errors) == 1 and errors[0].startswith("line 2: invalid JSON")
+
+    def test_claimed_record_fails(self, tmp_path):
+        journal = tmp_path / "sweep-manifest.jsonl"
+        journal.write_text('{"key": "k1", "status": "claimed", "worker": "w1"}\n')
+        errors = validate_sweep_manifest(journal)
+        assert errors == [
+            "line 1.status: 'claimed' not one of ['done', 'failed', 'cancelled']"
+        ]
+
+    def test_validate_dir_exits_1_on_a_bad_manifest(self, tmp_path):
+        # a valid artefact beside it: the manifest alone decides the exit
+        (tmp_path / "events-k.jsonl").write_text(
+            '{"core": 0, "cycle": 1.0, "event": "llc_miss", "line": 1}\n'
+        )
+        assert telemetry_main(["validate", str(tmp_path)]) == 0
+        (tmp_path / "sweep-manifest.jsonl").write_text(
+            '{"key": "k1", "status": "reclaimed"}\n'
+        )
+        assert telemetry_main(["validate", str(tmp_path)]) == 1

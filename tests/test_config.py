@@ -269,3 +269,23 @@ class TestBooleanEnvSwitches:
         # opening a journal parses it, before the sweep runs a job
         with pytest.raises(ConfigurationError, match="REPRO_MANIFEST_FSYNC"):
             SweepManifest(tmp_path / "sweep-manifest.jsonl")
+
+
+class TestServiceExecutorKinds:
+    """The service refuses a kind it has no backend for, and says which
+    kinds it accepts."""
+
+    ALLOWED = r"\('auto', 'serial', 'pool'\)"
+
+    def test_config_refuses_bus(self):
+        from repro.service import ServiceConfig
+
+        with pytest.raises(ConfigurationError, match=self.ALLOWED):
+            ServiceConfig(executor="bus")
+
+    def test_environment_refuses_bus(self, monkeypatch):
+        from repro.service import ServiceConfig
+
+        monkeypatch.setenv("REPRO_SERVICE_EXECUTOR", "bus")
+        with pytest.raises(ConfigurationError, match=self.ALLOWED):
+            ServiceConfig.from_env()

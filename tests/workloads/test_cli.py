@@ -74,3 +74,13 @@ class TestExperimentsCLI:
 
         with pytest.raises(ExperimentError):
             exp_main(["figure99"])
+
+    def test_backend_flags_are_gone(self):
+        """``-j`` alone picks the backend; the old backend flags are
+        usage errors (exit 2)."""
+        from repro.experiments.__main__ import main as exp_main
+
+        for flags in (["--executor", "pool"], ["--bus-dir", "spool"]):
+            with pytest.raises(SystemExit) as exited:
+                exp_main(flags + ["list"])
+            assert exited.value.code == 2
