@@ -51,24 +51,6 @@ def test_access_loop_throughput(benchmark):
     _run(benchmark, "access_loop")
 
 
-def test_access_loop_null_timer_throughput(benchmark):
-    """Access loop with a disabled PhaseTimer attached.
-
-    The delta against ``test_access_loop_throughput`` is the
-    disabled-instrumentation cost, bounded at < 2 % by design (the
-    simulator installs a disabled timer nowhere, so the demand path
-    keeps its ``is None`` fast branch).
-    """
-    _run(benchmark, "access_loop_null_timer")
-
-
-def test_access_loop_phases_throughput(benchmark):
-    """Access loop with an enabled PhaseTimer (no floor: enabled
-    instrumentation is allowed to cost; the trajectory records how
-    much)."""
-    _run(benchmark, "access_loop_phases")
-
-
 def test_trace_generator_throughput(benchmark):
     """Generate 50k records per round (numpy-batched path)."""
     _run(benchmark, "trace_gen")

@@ -19,7 +19,6 @@ from ..config import SimConfig
 from ..errors import SimulationError
 from ..hierarchy import BaseHierarchy, CoreAccessStats, build_hierarchy
 from ..hierarchy.mshr import MSHRFile
-from ..perf.phase import PHASE_SIM_LOOP, PhaseTimer
 from ..telemetry import (
     IntervalCollector,
     IntervalSeries,
@@ -61,10 +60,9 @@ class SimResult:
     #: fixed-window telemetry time series (None unless the run had
     #: telemetry configured; see :mod:`repro.telemetry.intervals`).
     intervals: Optional[IntervalSeries] = None
-    #: host-side performance digest (wall seconds, simulated-work rates
-    #: and, when a :class:`repro.perf.PhaseTimer` was attached, its
-    #: per-phase exclusive-time report).  Pure provenance about *this
-    #: execution of the simulator* — never part of the simulated
+    #: host-side performance digest (wall seconds, executed records
+    #: and instructions, simulated-work rates).  Pure provenance about
+    #: *this execution of the simulator* — never part of the simulated
     #: output, never written to the result cache.
     host: Optional[Dict[str, object]] = None
 
@@ -99,7 +97,6 @@ class CMPSimulator:
         traces: Sequence[Iterator[TraceRecord]],
         hierarchy: Optional[BaseHierarchy] = None,
         telemetry: Optional[TelemetryConfig] = None,
-        phase_timer: Optional[PhaseTimer] = None,
     ) -> None:
         if len(traces) != config.hierarchy.num_cores:
             raise SimulationError(
@@ -116,12 +113,10 @@ class CMPSimulator:
             for core_id, trace in enumerate(traces)
         ]
         # Probes attach to the hierarchy, one slot per kind: a tracer
-        # on the hierarchy/MSHR hook sites (event tracing), an interval
-        # collector the cores tick (time series) and a host phase timer
-        # (trace_gen / l1_access / llc_access / ...).  Inactive
-        # telemetry and a disabled (or absent) timer install nothing,
-        # so the cores stay on their bare loops; attaching never
-        # changes simulated statistics.
+        # on the hierarchy/MSHR hook sites (event tracing) and an
+        # interval collector the cores tick (time series).  Inactive
+        # telemetry installs nothing, so the cores stay on their bare
+        # loops; attaching never changes simulated statistics.
         self.tracer: Optional[Tracer] = None
         if telemetry is not None and telemetry.active:
             if telemetry.enabled:
@@ -135,18 +130,15 @@ class CMPSimulator:
             self.hierarchy.collector = IntervalCollector(
                 self.hierarchy, telemetry.effective_interval
             )
-        self.phase_timer: Optional[PhaseTimer] = phase_timer
-        if phase_timer is not None and phase_timer.enabled:
-            self.hierarchy.phase_timer = phase_timer
 
     def run(self) -> SimResult:
         """Run until every core completes its quota; returns results.
 
         Each core is advanced through one burst driver for the whole
         run (``SimulatedCore.burst_driver``: the bare loop, or the
-        probed loop when a sanitizer, telemetry, a phase timer or a
-        prefetcher is attached), resumed once per burst.  An attached
-        sanitizer scans once more after the last access.
+        probed loop when a sanitizer, telemetry or a prefetcher is
+        attached), resumed once per burst.  An attached sanitizer scans
+        once more after the last access.
         """
         # ``active`` cores still have trace left to execute; ``remaining``
         # counts cores that have not yet finished their quota.  Cores
@@ -161,14 +153,11 @@ class CMPSimulator:
         remaining = sum(1 for core in self.cores if not core.done)
         burst = 8
         steps = 0
-        timer = self.phase_timer
         wall_start = time.perf_counter()
         # One burst driver per core for the whole run (its bare or its
         # probed loop; see ``SimulatedCore.burst_driver``).  Held only
         # here, so no core <-> generator cycle outlives it.
         drivers = {core: core.burst_driver(burst) for core in self.cores}
-        if timer is not None:
-            timer.enter(PHASE_SIM_LOOP)
         try:
             while remaining:
                 # Earliest-in-time election; the unrolled one- and
@@ -199,8 +188,6 @@ class CMPSimulator:
         finally:
             for driver in drivers.values():
                 driver.close()
-        if timer is not None:
-            timer.exit()
         if self.hierarchy.sanitizer is not None:
             self.hierarchy.sanitizer.run()
         result = self._collect()
@@ -212,17 +199,13 @@ class CMPSimulator:
     def _host_digest(self, wall_s: float, steps: int) -> Dict[str, object]:
         """Build the host-performance digest for this execution."""
         instructions = sum(core.instructions for core in self.cores)
-        host: Dict[str, object] = {
+        return {
             "wall_s": wall_s,
             "accesses": steps,
             "instructions": instructions,
             "instructions_per_s": instructions / wall_s if wall_s > 0 else 0.0,
             "accesses_per_s": steps / wall_s if wall_s > 0 else 0.0,
         }
-        timer = self.phase_timer
-        if timer is not None and timer.enabled:
-            host["phases"] = timer.report()
-        return host
 
     def _collect(self) -> SimResult:
         core_results: List[CoreResult] = []

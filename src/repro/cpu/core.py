@@ -18,7 +18,6 @@ from ..errors import SimulationError
 from ..hierarchy import HIT_LLC, BaseHierarchy
 from ..hierarchy.levels import CoreCaches
 from ..hierarchy.mshr import MSHRFile
-from ..perf.phase import PHASE_TRACE_GEN
 from ..prefetch import make_prefetcher
 from ..workloads.trace import TraceRecord
 from .timing import CoreTimingModel
@@ -134,12 +133,12 @@ class SimulatedCore:
     ) -> Generator[Tuple[int, bool, bool], bool, None]:
         """The core's resumable loop: bare, or probed if a probe is attached.
 
-        Probes are the hierarchy's sanitizer, interval collector and
-        phase timer, this core's prefetcher, or a subclassed hierarchy
-        ``access`` method.  The core runs :meth:`_bare_loop` when none
-        of them is present and both L1s still carry the LRU ``access``
-        closure whose body that loop inlines (stock LRU family,
-        un-hashed index); otherwise it runs :meth:`_probed_loop`.  The
+        Probes are the hierarchy's sanitizer and interval collector,
+        this core's prefetcher, or a subclassed hierarchy ``access``
+        method.  The core runs :meth:`_bare_loop` when none of them is
+        present and both L1s still carry the LRU ``access`` closure
+        whose body that loop inlines (stock LRU family, un-hashed
+        index); otherwise it runs :meth:`_probed_loop`.  The
         bare loop sends its L1 misses to the hierarchy's miss closure
         (``BaseHierarchy._make_miss_path``) where
         :func:`_miss_closure_applies`, else to the bound ``_beyond_l1``.
@@ -167,7 +166,6 @@ class SimulatedCore:
         if (
             hierarchy.sanitizer is None
             and hierarchy.collector is None
-            and hierarchy.phase_timer is None
             and self.prefetcher is None
             and type(hierarchy).access is BaseHierarchy.access
             and l1i.access is l1i._lru_access
@@ -345,11 +343,9 @@ class SimulatedCore:
         """Generator body of :meth:`burst_driver` when a probe is attached.
 
         Every record goes through ``BaseHierarchy.access``, which runs
-        the sanitizer, the hierarchy's phase brackets and the TLA hit
-        hook; this loop adds the hierarchy timer's ``trace_gen``
-        bracket around each trace draw, the hierarchy collector's tick
-        and the prefetcher.  Counts live on the timing model, so the
-        loop needs no flushing between bursts.
+        the sanitizer and the TLA hit hook; this loop adds the
+        hierarchy collector's tick and the prefetcher.  Counts live on
+        the timing model, so the loop needs no flushing between bursts.
         """
         hierarchy = self.hierarchy
         timing = self.timing
@@ -357,7 +353,6 @@ class SimulatedCore:
         access = hierarchy.access
         advance = timing.advance
         step_account = timing.step_account
-        timer = hierarchy.phase_timer
         collector = hierarchy.collector
         prefetcher = self.prefetcher
         core_id = self.core_id
@@ -369,19 +364,13 @@ class SimulatedCore:
             executed = count
             transitioned = False
             for step_index in range(count):
-                if timer is not None:
-                    timer.enter(PHASE_TRACE_GEN)
                 try:
                     gap, kind, address = trace_next()
                 except StopIteration:
-                    if timer is not None:
-                        timer.exit()
                     self._exhausted = True
                     self._finish()
                     yield step_index + 1, transitioned or not is_done, True
                     return
-                if timer is not None:
-                    timer.exit()
                 recording = warmup <= timing.instructions < quota_end
                 if collector is not None:
                     # Telemetry clock: events fired by this access are

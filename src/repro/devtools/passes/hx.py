@@ -38,7 +38,7 @@ from ..rules import Finding
 
 #: qualname suffixes registered as hot by default: the packed
 #: tag-store access, fill, raw fill and NRU promote closures, the
-#: hierarchy's per-core L1-miss closure, the core's two
+#: hierarchy's per-core L1-miss closure and its LLC leg, the core's two
 #: loops (the ``_bare_loop`` and ``_probed_loop`` generators), the TLH
 #: hint closure's builder, the vectorised trace generator and its batch
 #: body, and the trace-batch memo's replay loop with the list
@@ -50,6 +50,7 @@ DEFAULT_HOT_SUFFIXES = (
     "Cache._make_lru_fill_raw",
     "Cache._make_nru_promote",
     "BaseHierarchy._make_miss_path",
+    "BaseHierarchy._make_llc_demand",
     "SimulatedCore._bare_loop",
     "SimulatedCore._probed_loop",
     "TemporalLocalityHints.hit_hook",

@@ -84,7 +84,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument(
         "--host-phases",
         action="store_true",
-        help="attribute the simulator's own wall time to host phases "
+        help="sample the simulator's own wall time into host phases "
         "and print the per-phase report (overrides REPRO_HOST_PHASES)",
     )
     parser.add_argument(

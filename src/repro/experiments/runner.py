@@ -77,9 +77,9 @@ class ExperimentSettings:
     #: telemetry knobs (event tracing / interval series); default off
     #: so settings-driven runs take the exact pre-telemetry path.
     telemetry: TelemetryConfig = TelemetryConfig()
-    #: attach host phase timers to every job (``REPRO_HOST_PHASES=1``
-    #: or ``--host-phases``); pure host observability, never part of
-    #: job identity, default off so hook sites stay on the fast path.
+    #: sample every job's host-phase split (``REPRO_HOST_PHASES=1`` or
+    #: ``--host-phases``) and time the sweep's phases; pure host
+    #: observability, never part of job identity, default off.
     host_phases: bool = False
 
     @classmethod

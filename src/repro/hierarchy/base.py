@@ -20,12 +20,6 @@ from ..cache import Cache, EvictedLine
 from ..coherence import Directory, MessageType, TrafficMeter
 from ..config import HierarchyConfig
 from ..errors import SimulationError
-from ..perf.phase import (
-    PHASE_BACK_INVALIDATE,
-    PHASE_L1_ACCESS,
-    PHASE_LLC_ACCESS,
-    PHASE_REPLACEMENT,
-)
 from ..sanitize.base import HierarchySanitizer, sanitizer_from_config
 from ..telemetry.events import (
     EVENT_INCLUSION_VICTIM,
@@ -133,8 +127,6 @@ class BaseHierarchy:
         #: event sink with ``Tracer.emit``'s signature: the telemetry
         #: tracer, or a :mod:`repro.analysis` analyzer.
         self.tracer: Optional["Tracer"] = None
-        #: host phase timer (see :mod:`repro.perf.phase`).
-        self.phase_timer = None
         #: interval collector the core's probed loop ticks with
         #: :attr:`clock`.
         self.collector: Optional["IntervalCollector"] = None
@@ -174,11 +166,6 @@ class BaseHierarchy:
         sanitizer = self.sanitizer
         if sanitizer is not None:
             sanitizer.on_access()
-        timer = self.phase_timer
-        if timer is not None:
-            # The l1_access phase covers the core-cache (L1 + L2)
-            # probe; the LLC section re-enters as llc_access below.
-            timer.enter(PHASE_L1_ACCESS)
         line_addr = address >> self.line_shift
         core = self.cores[core_id]
         stats = self.core_stats[core_id] if record_stats else None
@@ -196,8 +183,6 @@ class BaseHierarchy:
             hit_hook = self._tla_hit_hook
             if hit_hook is not None:
                 hit_hook(core_id, "il1" if is_ifetch else "dl1", line_addr)
-            if timer is not None:
-                timer.exit()
             return HIT_L1
         if stats is not None:
             if is_ifetch:
@@ -220,11 +205,8 @@ class BaseHierarchy:
         Split out of :meth:`access` so the CPU's bare loop can probe
         the L1 inline (the hot common case) and only pay a hierarchy
         call on L1 misses.  The caller has already counted the L1
-        access and miss; the phase timer, if any, is still inside the
-        ``l1_access`` phase.
+        access and miss.
         """
-        timer = self.phase_timer
-
         # L2
         if stats is not None:
             stats.l2_accesses += 1
@@ -233,16 +215,11 @@ class BaseHierarchy:
             hit_hook = self._tla_hit_hook
             if hit_hook is not None:
                 hit_hook(core_id, "l2", line_addr)
-            if timer is not None:
-                timer.exit()
             return HIT_L2
         if stats is not None:
             stats.l2_misses += 1
 
         # LLC
-        if timer is not None:
-            timer.exit()
-            timer.enter(PHASE_LLC_ACCESS)
         self.traffic.record(MessageType.LLC_REQUEST)
         if stats is not None:
             stats.llc_accesses += 1
@@ -256,54 +233,33 @@ class BaseHierarchy:
         self._fill_dirty = False
         self._fill_core_l1(core, line_addr, is_ifetch, is_write or fill_dirty)
         self.directory.on_fill_to_core(line_addr, core_id)
-        if timer is not None:
-            timer.exit()
         return level
 
     def _make_miss_path(self, core_id: int):
         """Build core ``core_id``'s L1-miss closure for the bare loop.
 
         The closure has :meth:`_beyond_l1`'s signature and results and
-        does the same work in one body over the captured arrays: the L2
-        probe through the L2's LRU ``access`` closure; the LLC probe,
-        the staged LLC fill (``_fill_llc``'s checks included) and the
-        NRU victim choice inline; the traffic counts and the directory
-        bit inline; the L1 fill and its L2 spill through the caches' raw
-        LRU fills, with victims held as packed ints.  It calls out only
-        where behaviour branches: the TLA policy's ``select_llc_victim``
-        and ``after_llc_miss_fill`` when the policy overrides them,
-        :meth:`_on_llc_eviction` on an LLC eviction, and
-        :meth:`_handle_l2_victim` for a dirty L2 victim (clean ones
-        vanish, as in every mode that can take this path).  With a
-        tracer attached it defers to :meth:`_beyond_l1`, so event
-        streams are the method's.
+        does the same work over the captured arrays: the L2 probe
+        through the L2's LRU ``access`` closure, past an L2 miss one
+        call to :meth:`_make_llc_demand`'s closure, the traffic counts
+        and the directory bit inline, and the L1 fill and its L2 spill
+        through the caches' raw LRU fills, victims held as packed ints.
+        Only a dirty L2 victim calls out, to :meth:`_handle_l2_victim`
+        (clean ones vanish in every mode that can take this path).
+        With a tracer attached it defers to :meth:`_beyond_l1`, so
+        event streams are the method's.
 
         Exact only for the inclusive and non-inclusive flow on plain
-        un-hashed LRU core caches and a plain un-hashed NRU LLC, with
-        the phase timer off; ``SimulatedCore.burst_driver`` checks that
-        before asking for it.  The method stays the reference.
+        un-hashed LRU core caches and a plain un-hashed NRU LLC;
+        ``SimulatedCore.burst_driver`` checks that before asking for
+        it.  The method stays the reference.
         """
-        from ..core.tla import TLAPolicy
-
         beyond_l1 = self._beyond_l1
+        llc_demand = self._make_llc_demand()
         hit_hook = self._tla_hit_hook
-        tla = self.tla
-        policy_cls = type(tla)
-        select_victim = (
-            None
-            if policy_cls.select_llc_victim is TLAPolicy.select_llc_victim
-            else tla.select_llc_victim
-        )
-        after_fill = (
-            None
-            if policy_cls.after_llc_miss_fill is TLAPolicy.after_llc_miss_fill
-            else tla.after_llc_miss_fill
-        )
-        on_llc_eviction = self._on_llc_eviction
         handle_l2_victim = self._handle_l2_victim
         counts = self.traffic.counts
         llc_request = MessageType.LLC_REQUEST
-        memory_request = MessageType.MEMORY_REQUEST
         sharers = self.directory._sharers
         sharers_get = sharers.get
         core_bit = 1 << core_id
@@ -312,20 +268,6 @@ class BaseHierarchy:
         d_fill = core.l1d._lru_fill_raw
         l2_access = core.l2._lru_access
         l2_fill = core.l2._lru_fill_raw
-        llc = self.llc
-        llc_name = llc.name
-        llc_map = llc._map
-        llc_get = llc._map_get
-        llc_stats = llc.stats
-        llc_mask = llc._set_mask
-        llc_assoc = llc.associativity
-        llc_addrs = llc._addrs
-        llc_valid = llc._valid
-        llc_valid_find = llc_valid.find
-        llc_dirty = llc._dirty
-        llc_ref = llc.policy._ref
-        llc_ref_find = llc_ref.find
-        llc_clear = llc.policy._clear
 
         def miss_path(
             core_id: int,
@@ -346,68 +288,7 @@ class BaseHierarchy:
                     stats.l2_misses += 1
                     stats.llc_accesses += 1
                 counts[llc_request] += 1
-                way = llc_get(line_addr)
-                if way is not None:
-                    # Cache.access under NRU: the hit sets the reference bit.
-                    llc_stats.hits += 1
-                    llc_ref[(line_addr & llc_mask) * llc_assoc + way] = 1
-                    level = HIT_LLC
-                else:
-                    llc_stats.misses += 1
-                    if stats is not None:
-                        stats.llc_misses += 1
-                    counts[memory_request] += 1
-                    level = HIT_MEMORY
-                    # _fill_llc, staged: invalid way, else the victim.
-                    if line_addr in llc_map:
-                        raise SimulationError("LLC fill for already-resident line")
-                    set_index = line_addr & llc_mask
-                    base = set_index * llc_assoc
-                    slot = llc_valid_find(0, base, base + llc_assoc)
-                    if slot >= 0:
-                        way = slot - base
-                        victim_addr = None
-                    else:
-                        if select_victim is None:
-                            # NRUPolicy.select_victim with no exclusions.
-                            slot = llc_ref_find(0, base, base + llc_assoc)
-                            if slot < 0:
-                                llc_ref[base:base + llc_assoc] = llc_clear
-                                slot = base
-                            way = slot - base
-                        else:
-                            way = select_victim(core_id, set_index)
-                            slot = base + way
-                            if not llc_valid[slot]:
-                                raise SimulationError(
-                                    f"{llc_name}: evicting invalid way {way} "
-                                    f"of set {set_index}"
-                                )
-                        # evict_way (the fill below rewrites the slot's
-                        # dirty and reference bits).
-                        victim_addr = llc_addrs[slot]
-                        victim_dirty = llc_dirty[slot]
-                        del llc_map[victim_addr]
-                        llc_valid[slot] = 0
-                        llc_stats.evictions += 1
-                        if victim_dirty:
-                            llc_stats.dirty_evictions += 1
-                    # fill_way + NRUPolicy.on_fill.
-                    if llc_valid[slot]:
-                        raise SimulationError(
-                            f"{llc_name}: filling over valid line in way {way} "
-                            f"of set {set_index}; evict first"
-                        )
-                    llc_addrs[slot] = line_addr
-                    llc_valid[slot] = 1
-                    llc_dirty[slot] = 0
-                    llc_map[line_addr] = way
-                    llc_ref[slot] = 1
-                    llc_stats.fills += 1
-                    if victim_addr is not None:
-                        on_llc_eviction(EvictedLine(victim_addr, bool(victim_dirty)))
-                    if after_fill is not None:
-                        after_fill(core_id, set_index, way, line_addr)
+                level = llc_demand(core_id, line_addr, stats)
             # _fill_core_l1: the L1 victim spills into the L2.
             victim = (i_fill if is_ifetch else d_fill)(line_addr, is_write)
             if victim is not None:
@@ -422,6 +303,114 @@ class BaseHierarchy:
             return level
 
         return miss_path
+
+    def _make_llc_demand(self):
+        """Build the miss closure's LLC leg, :meth:`_llc_demand` for the
+        inclusive and non-inclusive modes: the NRU probe, the staged
+        :meth:`_fill_llc` (checks included) and the victim choice inline
+        over the LLC arrays, calling the TLA policy's
+        ``select_llc_victim`` and ``after_llc_miss_fill`` only where it
+        overrides them, and :meth:`_on_llc_eviction` on an eviction.
+        Its own closure, so a stack sample tells LLC from core-cache work.
+        """
+        from ..core.tla import TLAPolicy
+
+        tla = self.tla
+        policy_cls = type(tla)
+        select_victim = (
+            None
+            if policy_cls.select_llc_victim is TLAPolicy.select_llc_victim
+            else tla.select_llc_victim
+        )
+        after_fill = (
+            None
+            if policy_cls.after_llc_miss_fill is TLAPolicy.after_llc_miss_fill
+            else tla.after_llc_miss_fill
+        )
+        on_llc_eviction = self._on_llc_eviction
+        counts = self.traffic.counts
+        memory_request = MessageType.MEMORY_REQUEST
+        llc = self.llc
+        llc_name = llc.name
+        llc_map = llc._map
+        llc_get = llc._map_get
+        llc_stats = llc.stats
+        llc_mask = llc._set_mask
+        llc_assoc = llc.associativity
+        llc_addrs = llc._addrs
+        llc_valid = llc._valid
+        llc_valid_find = llc_valid.find
+        llc_dirty = llc._dirty
+        llc_ref = llc.policy._ref
+        llc_ref_find = llc_ref.find
+        llc_clear = llc.policy._clear
+
+        def llc_demand(
+            core_id: int, line_addr: int, stats: Optional[CoreAccessStats]
+        ) -> int:
+            way = llc_get(line_addr)
+            if way is not None:
+                # Cache.access under NRU: the hit sets the reference bit.
+                llc_stats.hits += 1
+                llc_ref[(line_addr & llc_mask) * llc_assoc + way] = 1
+                return HIT_LLC
+            llc_stats.misses += 1
+            if stats is not None:
+                stats.llc_misses += 1
+            counts[memory_request] += 1
+            # _fill_llc, staged: invalid way, else the victim.
+            if line_addr in llc_map:
+                raise SimulationError("LLC fill for already-resident line")
+            set_index = line_addr & llc_mask
+            base = set_index * llc_assoc
+            slot = llc_valid_find(0, base, base + llc_assoc)
+            if slot >= 0:
+                way = slot - base
+                victim_addr = None
+            else:
+                if select_victim is None:
+                    # NRUPolicy.select_victim with no exclusions.
+                    slot = llc_ref_find(0, base, base + llc_assoc)
+                    if slot < 0:
+                        llc_ref[base:base + llc_assoc] = llc_clear
+                        slot = base
+                    way = slot - base
+                else:
+                    way = select_victim(core_id, set_index)
+                    slot = base + way
+                    if not llc_valid[slot]:
+                        raise SimulationError(
+                            f"{llc_name}: evicting invalid way {way} "
+                            f"of set {set_index}"
+                        )
+                # evict_way (the fill below rewrites the slot's dirty
+                # and reference bits).
+                victim_addr = llc_addrs[slot]
+                victim_dirty = llc_dirty[slot]
+                del llc_map[victim_addr]
+                llc_valid[slot] = 0
+                llc_stats.evictions += 1
+                if victim_dirty:
+                    llc_stats.dirty_evictions += 1
+            # fill_way + NRUPolicy.on_fill.
+            if llc_valid[slot]:
+                raise SimulationError(
+                    f"{llc_name}: filling over valid line in way {way} "
+                    f"of set {set_index}; evict first"
+                )
+            llc_addrs[slot] = line_addr
+            llc_valid[slot] = 1
+            llc_dirty[slot] = 0
+            llc_map[line_addr] = way
+            llc_ref[slot] = 1
+            llc_stats.fills += 1
+            if victim_addr is not None:
+                on_llc_eviction(EvictedLine(victim_addr, bool(victim_dirty)))
+            if after_fill is not None:
+                after_fill(core_id, set_index, way, line_addr)
+            return HIT_MEMORY
+
+        return llc_demand
 
     def prefetch(self, core_id: int, address: int) -> bool:
         """Prefetch a line into ``core_id``'s L2 (trained on L2 misses).
@@ -519,9 +508,6 @@ class BaseHierarchy:
     # -- LLC fill with TLA victim selection ----------------------------------------
     def _fill_llc(self, core_id: int, line_addr: int) -> None:
         """Insert ``line_addr`` into the LLC using the TLA victim flow."""
-        timer = self.phase_timer
-        if timer is not None:
-            timer.enter(PHASE_REPLACEMENT)
         set_index = self.llc.set_index_of(line_addr)
         if self.llc.contains(line_addr):
             raise SimulationError("LLC fill for already-resident line")
@@ -542,8 +528,6 @@ class BaseHierarchy:
         if victim is not None:
             self._on_llc_eviction(victim)
         self.tla.after_llc_miss_fill(core_id, set_index, way, line_addr)
-        if timer is not None:
-            timer.exit()
 
     # -- shared back-invalidate machinery (inclusive mode + ECI) ---------------------
     def _back_invalidate(
@@ -564,9 +548,6 @@ class BaseHierarchy:
         """
         any_present = False
         tracer = self.tracer
-        timer = self.phase_timer
-        if timer is not None:
-            timer.enter(PHASE_BACK_INVALIDATE)
         for sharer in self.directory.sharers(line_addr):
             self.traffic.record(message)
             if tracer is not None:
@@ -595,8 +576,6 @@ class BaseHierarchy:
                     )
             else:
                 self.core_stats[sharer].eci_invalidations += 1
-        if timer is not None:
-            timer.exit()
         return any_present
 
     # -- residency queries (QBS) -------------------------------------------------------

@@ -216,14 +216,17 @@ class SpanBook:
         """Replay a host-phase digest (``{name: {"s", "count"}}``) as
         ``parent``'s children.  Workers ship phase *durations*, so the
         phases are laid back to back from the parent's start, widest
-        first; only their widths are meaningful, not their order.
-        Zero-second phases are dropped."""
+        first; only their widths are meaningful, not their order.  A
+        phase is dropped only when both its seconds and its count are
+        zero: a phase no sample landed in still carries its count, as
+        a zero-width span."""
         offset = parent.start
         for name, digest in sorted(
             phases.items(), key=lambda kv: -float(kv[1].get("s", 0.0))
         ):
             seconds = float(digest.get("s", 0.0))
-            if seconds <= 0.0:
+            count = int(digest.get("count", 0))
+            if seconds <= 0.0 and not count:
                 continue
             self.add(
                 name,
@@ -232,7 +235,7 @@ class SpanBook:
                 end=offset + seconds,
                 parent_id=parent.span_id,
                 kind="phase",
-                count=int(digest.get("count", 0)),
+                count=count,
             )
             offset += seconds
 

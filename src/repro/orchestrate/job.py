@@ -21,13 +21,14 @@ from __future__ import annotations
 import hashlib
 import json
 import time
+from contextlib import nullcontext
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
 from ..config import TLAConfig, baseline_hierarchy, variant_sim_config
 from ..cpu import CMPSimulator
-from ..perf.phase import PHASE_EXECUTE_JOB, PhaseTimer
+from ..perf.sampler import PhaseSampler
 from ..telemetry import TelemetryConfig, write_events_jsonl
 from ..version import __version__
 from ..workloads import WorkloadMix, mix_category
@@ -107,8 +108,8 @@ class SimJob:
     trace_out: Optional[str] = None
     trace_sample: int = 1
     trace_categories: Tuple[str, ...] = ()
-    #: attach a host :class:`~repro.perf.PhaseTimer` to the simulation
-    #: (phase report lands in ``RunSummary.host``).  Pure host-side
+    #: sample the job with a :class:`~repro.perf.PhaseSampler` (phase
+    #: report lands in ``RunSummary.host``).  Pure host-side
     #: observability — like ``trace_out`` it never joins the job key,
     #: because it cannot change simulated output.
     host_phases: bool = False
@@ -174,103 +175,98 @@ def execute_job(job: SimJob) -> RunSummary:
     Deterministic: traces are seeded from the app/core identity, the
     machine is rebuilt from the job description, and nothing is read
     from the environment — the contract that makes worker-pool results
-    interchangeable with serial ones.
+    interchangeable with serial ones.  ``host_phases`` runs the job
+    under a sampler; off the main thread it cannot arm, and ``host``
+    then carries no ``phases`` key.
     """
-    cpu_start = time.process_time()
-    wall_start = time.perf_counter()
-    timer: Optional[PhaseTimer] = PhaseTimer() if job.host_phases else None
-    if timer is not None:
-        # Everything outside the simulator proper (trace construction,
-        # config resolution, summarising) is charged to execute_job;
-        # the simulator's own phases nest inside.
-        timer.enter(PHASE_EXECUTE_JOB)
-    telemetry: Optional[TelemetryConfig] = None
-    if job.trace or job.intervals:
-        telemetry = TelemetryConfig(
-            enabled=job.trace,
-            out_dir=job.trace_out or "traces",
-            sample=job.trace_sample,
-            interval=job.intervals,
-            categories=job.trace_categories,
+    # The sampler samples this block and splits job_wall_s, its span.
+    with (PhaseSampler() if job.host_phases else nullcontext()) as sampler:
+        cpu_start = time.process_time()
+        wall_start = time.perf_counter()
+        telemetry: Optional[TelemetryConfig] = None
+        if job.trace or job.intervals:
+            telemetry = TelemetryConfig(
+                enabled=job.trace,
+                out_dir=job.trace_out or "traces",
+                sample=job.trace_sample,
+                interval=job.intervals,
+                categories=job.trace_categories,
+            )
+        mix = WorkloadMix(job.mix_name, job.apps)
+        # Workload generators always size against the scaled 2-core
+        # baseline, regardless of the simulated variant (Table I's
+        # categories are baseline-relative).
+        reference = baseline_hierarchy(2, scale=job.scale)
+        config = variant_sim_config(
+            num_cores=mix.num_cores,
+            mode=job.mode,
+            tla=job.tla_config,
+            llc_bytes=job.llc_bytes,
+            scale=job.scale,
+            quota=job.quota,
+            warmup=job.warmup,
+            victim_cache_entries=job.victim_cache_entries,
         )
-    mix = WorkloadMix(job.mix_name, job.apps)
-    # Workload generators always size against the scaled 2-core
-    # baseline, regardless of the simulated variant (Table I's
-    # categories are baseline-relative).
-    reference = baseline_hierarchy(2, scale=job.scale)
-    config = variant_sim_config(
-        num_cores=mix.num_cores,
-        mode=job.mode,
-        tla=job.tla_config,
-        llc_bytes=job.llc_bytes,
-        scale=job.scale,
-        quota=job.quota,
-        warmup=job.warmup,
-        victim_cache_entries=job.victim_cache_entries,
-    )
-    simulator = CMPSimulator(
-        config, mix.feeds(reference), telemetry=telemetry, phase_timer=timer
-    )
-    result = simulator.run()
-    # Host-side provenance (timings, where this execution wrote its
-    # event log) goes in ``host``, which the result cache strips, so
-    # two traced runs of one job store identical bytes.
-    host: Dict = dict(result.host or {})
-    summary = RunSummary(
-        mix=mix.name,
-        apps=list(mix.apps),
-        mode=job.mode,
-        tla=job.tla,
-        ipcs=result.ipcs,
-        llc_misses=result.total_llc_misses,
-        llc_accesses=result.total_llc_accesses,
-        inclusion_victims=result.total_inclusion_victims,
-        traffic=dict(result.traffic),
-        max_cycles=result.max_cycles,
-        instructions=[core.instructions for core in result.cores],
-        mpki=[
-            {
-                "l1": core.mpki("l1"),
-                "l1i": core.mpki("l1i"),
-                "l1d": core.mpki("l1d"),
-                "l2": core.mpki("l2"),
-                "llc": core.mpki("llc"),
-            }
-            for core in result.cores
-        ],
-    )
-    if result.intervals is not None:
-        summary.intervals = result.intervals.to_dict()
-    if telemetry is not None:
-        digest: Dict = {
-            "max_cycles": result.max_cycles,
-            "core_phases": [
+        simulator = CMPSimulator(config, mix.feeds(reference), telemetry=telemetry)
+        result = simulator.run()
+        # Host-side provenance (timings, where this execution wrote its
+        # event log) goes in ``host``, which the result cache strips, so
+        # two traced runs of one job store identical bytes.
+        host: Dict = dict(result.host or {})
+        summary = RunSummary(
+            mix=mix.name,
+            apps=list(mix.apps),
+            mode=job.mode,
+            tla=job.tla,
+            ipcs=result.ipcs,
+            llc_misses=result.total_llc_misses,
+            llc_accesses=result.total_llc_accesses,
+            inclusion_victims=result.total_inclusion_victims,
+            traffic=dict(result.traffic),
+            max_cycles=result.max_cycles,
+            instructions=[core.instructions for core in result.cores],
+            mpki=[
                 {
-                    "core": core.core_id,
-                    "warmup_cycles": core.cycles_at_warmup,
-                    "quota_cycles": core.cycles_at_quota or core.cycles,
+                    "l1": core.mpki("l1"),
+                    "l1i": core.mpki("l1i"),
+                    "l1d": core.mpki("l1d"),
+                    "l2": core.mpki("l2"),
+                    "llc": core.mpki("llc"),
                 }
-                for core in simulator.cores
+                for core in result.cores
             ],
-        }
-        tracer = simulator.tracer
-        if tracer is not None:
-            digest.update(tracer.summary())
-            if job.trace_out:
-                # Each worker writes its own job-key-named file, so
-                # parallel sweeps never contend on one event log.
-                path = write_events_jsonl(
-                    Path(job.trace_out) / f"events-{job_key(job)}.jsonl",
-                    tracer.events,
-                )
-                host["events_path"] = str(path)
-        summary.telemetry = digest
-    host["job_wall_s"] = time.perf_counter() - wall_start
-    host["cpu_s"] = time.process_time() - cpu_start
-    if timer is not None:
-        timer.exit()
-        # Re-report phases at job granularity: includes the
-        # execute_job envelope around the simulator's own phases.
-        host["phases"] = timer.report()
+        )
+        if result.intervals is not None:
+            summary.intervals = result.intervals.to_dict()
+        if telemetry is not None:
+            digest: Dict = {
+                "max_cycles": result.max_cycles,
+                "core_phases": [
+                    {
+                        "core": core.core_id,
+                        "warmup_cycles": core.cycles_at_warmup,
+                        "quota_cycles": core.cycles_at_quota or core.cycles,
+                    }
+                    for core in simulator.cores
+                ],
+            }
+            tracer = simulator.tracer
+            if tracer is not None:
+                digest.update(tracer.summary())
+                if job.trace_out:
+                    # Each worker writes its own job-key-named file, so
+                    # parallel sweeps never contend on one event log.
+                    path = write_events_jsonl(
+                        Path(job.trace_out) / f"events-{job_key(job)}.jsonl",
+                        tracer.events,
+                    )
+                    host["events_path"] = str(path)
+            summary.telemetry = digest
+        host["job_wall_s"] = time.perf_counter() - wall_start
+        host["cpu_s"] = time.process_time() - cpu_start
+    if sampler is not None:
+        phases = sampler.report(result, host["job_wall_s"])
+        if phases is not None:
+            host["phases"] = phases
     summary.host = host
     return summary

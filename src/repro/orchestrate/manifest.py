@@ -3,11 +3,12 @@
 The orchestrator journals every job outcome as one JSON line appended
 (and flushed) to a manifest file.  Because lines are only appended, a
 sweep killed mid-write loses at most its final, partial line — which
-:meth:`SweepManifest.statuses` skips — so a restarted sweep can always
-read a consistent record of what finished.  Completed jobs are also in
-the result cache (the primary dedup), which makes the manifest the
-source of truth for *failures*: which jobs exhausted their retries,
-with what error, after how many attempts.
+:meth:`SweepManifest.statuses` skips, and the next append cuts off —
+so a restarted sweep can always read a consistent record of what
+finished.  Completed jobs are also in the result cache (the primary
+dedup), which makes the manifest the source of truth for *failures*:
+which jobs exhausted their retries, with what error, after how many
+attempts.
 """
 
 from __future__ import annotations
@@ -99,15 +100,15 @@ class SweepManifest:
             entry["trace_id"] = trace_id
         self.path.parent.mkdir(parents=True, exist_ok=True)
         # A sweep killed mid-append leaves a line without its newline;
-        # terminate it first so the partial line poisons nothing else.
-        needs_newline = False
+        # cut it back to the last newline first, so a resumed sweep's
+        # journal holds whole records only.
         if self.path.exists() and self.path.stat().st_size > 0:
-            with self.path.open("rb") as tail:
-                tail.seek(-1, 2)
-                needs_newline = tail.read(1) != b"\n"
+            with self.path.open("r+b") as journal:
+                journal.seek(-1, 2)
+                if journal.read(1) != b"\n":
+                    journal.seek(0)
+                    journal.truncate(journal.read().rfind(b"\n") + 1)
         data = json.dumps(entry, sort_keys=True) + "\n"
-        if needs_newline:
-            data = "\n" + data
         # One O_APPEND write.  POSIX append atomicity holds for writes
         # this small on local filesystems but NOT on NFS, so the
         # journal has exactly one writing process: the orchestrator or

@@ -10,7 +10,9 @@ Subcommands::
 ``bench`` runs the pinned scenario suite and writes the next
 ``BENCH_<n>.json`` trajectory point; ``compare`` applies the
 noise-tolerant thresholds and exits non-zero on regression (CI's gate);
-``profile`` writes cProfile + collapsed-stack hotspot artifacts;
+``profile`` samples an experiment or a scenario's rounds with a
+:class:`~repro.perf.sampler.PhaseSampler`, writes the exact stacks as
+``profile-<label>.collapsed`` and prints the top self-sample lines;
 ``validate`` schema-checks existing artifacts.
 """
 
@@ -18,10 +20,12 @@ from __future__ import annotations
 
 import argparse
 import sys
+import time
+from dataclasses import replace
 from pathlib import Path
 from typing import List, Optional
 
-from ..errors import ReproError
+from ..errors import ConfigurationError, ReproError
 from ..telemetry import get_logger
 from .bench import load_bench, run_bench, write_bench
 from .compare import DEFAULT_TOLERANCE, compare_benches
@@ -50,21 +54,47 @@ def _cmd_compare(args) -> int:
     return 0 if comparison.ok else 1
 
 
-def _cmd_profile(args) -> int:
-    from .profile import (
-        profile_experiment,
-        profile_scenario,
-        top_hotspots,
-    )
+#: wall seconds a profiled scenario repeats its round for: the sampler
+#: takes ~250 samples per CPU second, and one round is a fraction of one.
+PROFILE_SCENARIO_S = 1.0
 
-    out_dir = Path(args.out)
+
+def _cmd_profile(args) -> int:
+    from .sampler import PhaseSampler
+
+    target = args.target
     if args.scenario:
-        paths = profile_scenario(args.target, out_dir)
+        from .scenarios import SCENARIOS
+
+        if target not in SCENARIOS:
+            raise ConfigurationError(
+                f"unknown scenario {target!r}; known: {', '.join(SCENARIOS)}"
+            )
+        label, work = f"scenario-{target}", SCENARIOS[target].round_fn
     else:
-        paths = profile_experiment(args.target, out_dir)
-    print(f"# wrote {paths['pstats']} and {paths['collapsed']}")
-    print("# top self-time hotspots:")
-    for line in top_hotspots(paths["pstats"]):
+        from ..experiments.registry import EXPERIMENTS, run_experiment
+        from ..experiments.runner import ExperimentSettings, Runner
+
+        if target not in EXPERIMENTS:
+            raise ConfigurationError(
+                f"unknown experiment {target!r}; see `python -m repro.experiments list`"
+            )
+        # Serial, into a memory-only result cache: profiling a cache
+        # replay would sample JSON parsing, not the simulator.
+        runner = Runner(replace(ExperimentSettings.from_env(), cache_dir=None, jobs=1))
+        label, work = target, lambda: run_experiment(target, runner=runner)
+    with PhaseSampler() as sampler:
+        start = time.perf_counter()
+        work()
+        while args.scenario and time.perf_counter() - start < PROFILE_SCENARIO_S:
+            work()
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    path = out_dir / f"profile-{label}.collapsed"
+    path.write_text("\n".join(sampler.collapsed()) + "\n", encoding="utf-8")
+    print(f"# wrote {path} ({sum(sampler.stacks.values())} samples)")
+    print("# top self-sample functions:")
+    for line in sampler.top():
         print(line)
     return 0
 
@@ -118,7 +148,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     compare.set_defaults(fn=_cmd_compare)
 
     profile = sub.add_parser(
-        "profile", help="cProfile an experiment (or bench scenario)"
+        "profile", help="sample an experiment's (or bench scenario's) stacks"
     )
     profile.add_argument(
         "target", help="experiment name (or scenario name with --scenario)"

@@ -1,27 +1,19 @@
-"""The phase timer: wall-time attribution for the simulator host path.
+"""The phase timer: wall-time attribution for host phases.
 
 Where :class:`repro.telemetry.Tracer` observes the *simulated machine*
 (misses, back-invalidates, QBS queries), :class:`PhaseTimer` observes
-the *simulator itself*: which host-side phase — trace generation, L1/L2
-probing, LLC handling, replacement, back-invalidation, orchestration
-bookkeeping — the wall-clock seconds actually went to.
+the host work around the simulator: which phase — job execution,
+orchestration bookkeeping, waiting on the worker pool — the
+wall-clock seconds went to.  The simulator's own split (trace
+generation, L1, LLC, replacement, back-invalidation) is sampled, not
+bracketed: see :mod:`repro.perf.sampler`, which reports in this
+module's shape and phase names.
 
 Attribution is **exclusive** (self-time): a stack tracks the phase
 nesting, and every moment between the first :meth:`~PhaseTimer.enter`
 and the matching final :meth:`~PhaseTimer.exit` is charged to exactly
 one phase — the innermost one active at the time.  Consequently the
-per-phase totals sum to the measured span *exactly*, which is what lets
-tests (and the acceptance gate) assert that the timer accounts for
->= 95 % of a simulation's wall time.
-
-The disabled cost discipline:
-
-* hook sites hold the timer in a local and guard with ``if timer is
-  not None``, as they do the tracer — the default run never calls
-  into this module (``BaseHierarchy.phase_timer`` stays ``None``);
-* a constructed-but-disabled ``PhaseTimer(enabled=False)`` returns from
-  :meth:`enter`/:meth:`exit` on the first branch, so code handed a
-  timer unconditionally pays only one attribute test per hook.
+per-phase totals sum to the measured span *exactly*.
 
 Only ``time.perf_counter`` is read (pure elapsed time, lint rule CS3);
 an injectable clock keeps the unit tests deterministic.
@@ -35,7 +27,8 @@ from typing import Callable, Dict, Iterable, List, Mapping, Optional
 
 from ..errors import SimulationError
 
-#: canonical phase names used by the built-in hook sites.
+#: canonical phase names: the simulator's (sampled) and the
+#: orchestrator's (timed).
 PHASE_SIM_LOOP = "sim_loop"
 PHASE_TRACE_GEN = "trace_gen"
 PHASE_L1_ACCESS = "l1_access"
@@ -82,14 +75,9 @@ class _PhaseContext:
 class PhaseTimer:
     """Hierarchical exclusive-time profiler for named host phases."""
 
-    __slots__ = ("enabled", "totals", "counts", "_stack", "_mark", "_clock")
+    __slots__ = ("totals", "counts", "_stack", "_mark", "_clock")
 
-    def __init__(
-        self,
-        enabled: bool = True,
-        clock: Optional[Callable[[], float]] = None,
-    ) -> None:
-        self.enabled = enabled
+    def __init__(self, clock: Optional[Callable[[], float]] = None) -> None:
         #: exclusive seconds attributed to each phase name.  Defaulting
         #: dicts keep the hot enter/exit transitions to plain indexed
         #: ``+=`` updates (no ``.get`` call per transition).
@@ -104,8 +92,6 @@ class PhaseTimer:
     def enter(self, phase: str) -> None:
         """Push ``phase``; elapsed time since the last transition is
         charged to the phase that was innermost until now."""
-        if not self.enabled:
-            return
         now = self._clock()
         stack = self._stack
         if stack:
@@ -117,8 +103,6 @@ class PhaseTimer:
     def exit(self) -> None:
         """Pop the innermost phase, charging it the time since the last
         transition; the enclosing phase resumes accumulating."""
-        if not self.enabled:
-            return
         now = self._clock()
         stack = self._stack
         if not stack:
@@ -137,14 +121,6 @@ class PhaseTimer:
         """Current nesting depth (0 = no phase active)."""
         return len(self._stack)
 
-    def total(self, phase: str) -> float:
-        """Exclusive seconds attributed to ``phase`` so far."""
-        return self.totals.get(phase, 0.0)
-
-    def measured_total(self) -> float:
-        """Sum of all attributed seconds == the span covered by phases."""
-        return sum(self.totals.values())
-
     def report(self) -> Dict[str, Dict[str, float]]:
         """Compact picklable digest: ``{phase: {"s": .., "count": ..}}``.
 
@@ -157,10 +133,9 @@ class PhaseTimer:
         }
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = "on" if self.enabled else "off"
         return (
-            f"<PhaseTimer {state} phases={len(self.totals)} "
-            f"total={self.measured_total():.3f}s>"
+            f"<PhaseTimer phases={len(self.totals)} "
+            f"total={sum(self.totals.values()):.3f}s>"
         )
 
 
@@ -169,7 +144,7 @@ def merge_phase_reports(
 ) -> Dict[str, Dict[str, float]]:
     """Sum per-phase digests from many jobs/workers into one report.
 
-    ``None`` entries (jobs that ran without a timer) are skipped, so the
+    ``None`` entries (jobs that ran without a split) are skipped, so the
     caller can feed raw ``summary.host.get("phases")`` values straight in.
     """
     merged: Dict[str, Dict[str, float]] = {}

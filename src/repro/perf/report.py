@@ -17,7 +17,8 @@ def format_rate(value: float) -> str:
 def format_phase_report(
     phases: Mapping[str, Mapping[str, float]], indent: str = "  "
 ) -> str:
-    """Render a :meth:`PhaseTimer.report` digest, widest phase first."""
+    """Render a :meth:`PhaseTimer.report` (or :meth:`PhaseSampler.report`)
+    digest, widest phase first; each line ends with the phase's count."""
     if not phases:
         return f"{indent}(no phases recorded)"
     total = sum(float(row.get("s", 0.0)) for row in phases.values()) or 1.0
@@ -29,7 +30,7 @@ def format_phase_report(
         count = int(row.get("count", 0))
         lines.append(
             f"{indent}{name:<20} {seconds:9.3f}s {100 * seconds / total:5.1f}% "
-            f"({count:,} enters)"
+            f"(count {count:,})"
         )
     return "\n".join(lines)
 
@@ -57,6 +58,6 @@ def format_host_report(
     if "utilisation" in aggregate:
         lines.append(f"  pool utilisation: {100 * aggregate['utilisation']:.0f}%")
     if phases:
-        lines.append("  phases (exclusive wall time):")
+        lines.append("  phases (sampled wall time):")
         lines.append(format_phase_report(phases, indent="    "))
     return "\n".join(lines)

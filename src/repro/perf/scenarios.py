@@ -19,9 +19,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Tuple
-
-from .phase import PhaseTimer
+from typing import Callable, Dict, Tuple
 
 #: machine scale every scenario simulates at (mirrors the experiment
 #: default: an eighth-sized hierarchy with all capacity ratios intact).
@@ -68,9 +66,7 @@ class Scenario:
     description: str = ""
 
 
-def _access_loop_round(
-    phase_timer: Optional[PhaseTimer] = None, tla: str = "none"
-) -> int:
+def _access_loop_round(tla: str = "none") -> int:
     """Simulate 40k instructions of MIX_10 through the full hierarchy,
     under the TLA preset ``tla``."""
     from repro import CMPSimulator, SimConfig, baseline_hierarchy
@@ -82,30 +78,12 @@ def _access_loop_round(
         hierarchy=baseline_hierarchy(2, scale=SCALE, tla=tla_preset(tla)),
         instruction_quota=ACCESS_LOOP_INSTRUCTIONS // 2,
     )
-    result = CMPSimulator(
-        config,
-        mix_by_name("MIX_10").traces(reference),
-        phase_timer=phase_timer,
-    ).run()
+    result = CMPSimulator(config, mix_by_name("MIX_10").traces(reference)).run()
     return result.total_instructions
 
 
 def access_loop_round() -> int:
     return _access_loop_round()
-
-
-def access_loop_null_timer_round() -> int:
-    """Same work with a constructed-but-disabled PhaseTimer attached.
-
-    The rate delta against ``access_loop`` *is* the disabled-timer cost
-    the acceptance gate bounds at < 2 %.
-    """
-    return _access_loop_round(phase_timer=PhaseTimer(enabled=False))
-
-
-def access_loop_phases_round() -> int:
-    """Same work with an enabled PhaseTimer (instrumentation cost)."""
-    return _access_loop_round(phase_timer=PhaseTimer())
 
 
 def tlh_l1_loop_round() -> int:
@@ -194,24 +172,6 @@ SCENARIOS: Dict[str, Scenario] = {
             floor=FLOOR_ACCESS_LOOP,
             round_fn=access_loop_round,
             description="full-hierarchy CMP simulation of MIX_10",
-        ),
-        Scenario(
-            name="access_loop_null_timer",
-            metric="instructions_per_s",
-            work=ACCESS_LOOP_INSTRUCTIONS,
-            floor=FLOOR_ACCESS_LOOP,
-            round_fn=access_loop_null_timer_round,
-            description="access loop with a disabled PhaseTimer attached",
-        ),
-        Scenario(
-            name="access_loop_phases",
-            metric="instructions_per_s",
-            # No floor: enabled instrumentation is allowed to cost; the
-            # trajectory still records how much.
-            work=ACCESS_LOOP_INSTRUCTIONS,
-            floor=0.0,
-            round_fn=access_loop_phases_round,
-            description="access loop with an enabled PhaseTimer",
         ),
         Scenario(
             name="trace_gen",

@@ -88,7 +88,6 @@ class TestProbeSlots:
         hierarchy = simulator.hierarchy
         assert hierarchy.tracer is None
         assert hierarchy.collector is None
-        assert hierarchy.phase_timer is None
         assert simulator.mshr.tracer is None
         assert loop_names(simulator) == ["_bare_loop", "_bare_loop"]
 

@@ -134,6 +134,8 @@ class TestSpanBook:
         assert {s.parent_id for s in book.snapshot()} == {None, second.span_id}
 
     def test_add_phases_widest_first_back_to_back(self):
+        """A phase no sample landed in keeps its count as a zero-width
+        span; only a phase with neither seconds nor count is dropped."""
         clock = FakeClock()
         book = SpanBook(clock=clock)
         parent = book.begin("execute", new_trace_id())
@@ -144,16 +146,19 @@ class TestSpanBook:
             {
                 "sim_loop": {"s": 0.25, "count": 1},
                 "l1_access": {"s": 0.5, "count": 9},
-                "idle": {"s": 0.0, "count": 1},
+                "replacement": {"s": 0.0, "count": 7},
+                "back_invalidate": {"s": 0.0, "count": 0},
             },
         )
         phases = [s for s in book.snapshot() if s.parent_id == parent.span_id]
         assert [(s.name, s.start, s.end) for s in phases] == [
             ("l1_access", 0.0, 0.5),
             ("sim_loop", 0.5, 0.75),
+            ("replacement", 0.75, 0.75),
         ]
         assert {s.kind for s in phases} == {"phase"}
         assert phases[0].attrs == {"count": 9}
+        assert phases[2].attrs == {"count": 7}
 
     def test_clock_serialised_only_off_the_wall(self):
         book = SpanBook()

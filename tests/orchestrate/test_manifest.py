@@ -2,6 +2,7 @@
 
 from repro.orchestrate import SweepManifest
 from repro.orchestrate.manifest import STATUS_DONE, STATUS_FAILED
+from repro.telemetry.__main__ import main as telemetry_main
 
 
 class TestManifest:
@@ -41,6 +42,19 @@ class TestManifest:
         # ...and the journal keeps accepting records afterwards.
         manifest.record("k4", STATUS_DONE)
         assert "k4" in manifest.done_keys()
+
+    def test_resume_cuts_the_torn_tail_and_validates(self, tmp_path):
+        """The record after a kill mid-append replaces the torn line, so
+        the resumed journal holds whole records and validates."""
+        path = tmp_path / "sweep-manifest.jsonl"
+        manifest = SweepManifest(path)
+        manifest.record("k1", STATUS_DONE)
+        with path.open("a", encoding="utf-8") as handle:
+            handle.write('{"attempts": 1, "key": "k2", "sta')  # crash mid-write
+        manifest.record("k2", STATUS_DONE)
+        assert set(manifest.statuses()) == {"k1", "k2"}
+        assert len(path.read_text().splitlines()) == 2
+        assert telemetry_main(["validate", str(tmp_path)]) == 0
 
     def test_garbage_lines_are_skipped(self, tmp_path):
         path = tmp_path / "m.jsonl"

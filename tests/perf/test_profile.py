@@ -1,17 +1,12 @@
-"""Hotspot profiler: collapsed stacks, artifacts, error paths."""
+"""``python -m repro.perf profile``: exact stacks from the sampler."""
 
-import cProfile
-import pstats
+import signal
+import time
 
 import pytest
 
-from repro.errors import ConfigurationError
-from repro.perf.profile import (
-    collapse_stats,
-    profile_callable,
-    profile_scenario,
-    top_hotspots,
-)
+from repro.perf.__main__ import main
+from repro.perf.sampler import PhaseSampler
 
 
 def _busy_leaf(n=20_000):
@@ -25,79 +20,69 @@ def _busy_caller():
     return _busy_leaf() + _busy_leaf()
 
 
-def _profiled_stats():
-    profiler = cProfile.Profile()
-    profiler.enable()
-    try:
-        _busy_caller()
-    finally:
-        profiler.disable()
-    return pstats.Stats(profiler)
+@pytest.fixture(scope="module")
+def sampled():
+    """A sampler that watched ~0.3 s of CPU in ``_busy_caller``."""
+    with PhaseSampler() as sampler:
+        start = time.process_time()
+        while time.process_time() - start < 0.3:
+            _busy_caller()
+    return sampler
 
 
 class TestCollapseStats:
-    def test_lines_have_stack_and_count(self):
-        lines = collapse_stats(_profiled_stats())
+    def test_lines_have_stack_and_count(self, sampled):
+        lines = sampled.collapsed()
         assert lines
+        total = 0
         for line in lines:
             stack, _, samples = line.rpartition(" ")
             assert stack
-            assert int(samples) > 0
+            total += int(samples)
+        assert total == sum(sampled.stacks.values())
 
-    def test_leaf_is_attributed_under_its_caller(self):
-        lines = collapse_stats(_profiled_stats())
-        leaf_lines = [line for line in lines if "_busy_leaf" in line]
+    def test_leaf_is_attributed_under_its_caller(self, sampled):
+        """Stacks are exact: every leaf sample sits under its real
+        caller, not a guessed heaviest edge."""
+        leaf_lines = [line for line in sampled.collapsed() if "_busy_leaf" in line]
         assert leaf_lines
-        # The heaviest-caller chain puts _busy_caller above the leaf.
-        assert any("_busy_caller;" in line for line in leaf_lines)
-
-    def test_zero_self_time_dropped(self):
-        stats = _profiled_stats()
-        entries = stats.stats
-        rendered = "\n".join(collapse_stats(stats, unit=1.0))
-        for func, (_cc, _nc, tottime, _ct, _callers) in entries.items():
-            if int(round(tottime)) <= 0:
-                # sub-second functions collapse to zero samples at
-                # 1 s resolution and must not appear.
-                assert f"{func[2]} 0" not in rendered
+        for line in leaf_lines:
+            frames = line.rpartition(" ")[0].split(";")
+            assert frames[-1].endswith(":_busy_leaf")
+            assert frames[-2].endswith(":_busy_caller")
 
 
 class TestProfileCallable:
-    def test_writes_both_artifacts(self, tmp_path):
-        paths = profile_callable(_busy_caller, "unit", tmp_path)
-        assert paths["pstats"].exists()
-        assert paths["collapsed"].exists()
-        assert paths["pstats"].name == "profile-unit.pstats"
-        collapsed = paths["collapsed"].read_text()
-        assert "_busy_leaf" in collapsed
-
-    def test_top_hotspots_readable(self, tmp_path):
-        paths = profile_callable(_busy_caller, "unit", tmp_path)
-        rows = top_hotspots(paths["pstats"], count=5)
+    def test_top_hotspots_readable(self, sampled):
+        rows = sampled.top(count=5)
         assert 0 < len(rows) <= 5
-        assert any("_busy_leaf" in row for row in rows)
+        assert rows[0].endswith(":_busy_leaf")
 
-    def test_profile_survives_raising_callable(self, tmp_path):
-        def boom():
-            _busy_leaf()
-            raise RuntimeError("mid-profile failure")
-
+    def test_profile_survives_raising_callable(self):
+        """A profiled run that raises keeps the stacks sampled so far,
+        and leaves the timer disarmed and the handler restored."""
+        handler = signal.getsignal(signal.SIGPROF)
         with pytest.raises(RuntimeError):
-            profile_callable(boom, "boom", tmp_path)
+            with PhaseSampler() as sampler:
+                start = time.process_time()
+                while time.process_time() - start < 0.1:
+                    _busy_caller()
+                raise RuntimeError("mid-profile failure")
+        assert any("_busy_leaf" in line for line in sampler.collapsed())
+        assert signal.getitimer(signal.ITIMER_PROF) == (0.0, 0.0)
+        assert signal.getsignal(signal.SIGPROF) is handler
 
 
 class TestEntryPoints:
     def test_unknown_scenario_rejected(self, tmp_path):
-        with pytest.raises(ConfigurationError):
-            profile_scenario("no_such_scenario", tmp_path)
+        assert main(["profile", "no_such_scenario", "--scenario", "--out", str(tmp_path)]) == 2
 
     def test_unknown_experiment_rejected(self, tmp_path):
-        from repro.perf.profile import profile_experiment
+        assert main(["profile", "no_such_experiment", "--out", str(tmp_path)]) == 2
 
-        with pytest.raises(ConfigurationError):
-            profile_experiment("no_such_experiment", tmp_path)
-
-    def test_scenario_profile_writes_artifacts(self, tmp_path):
-        paths = profile_scenario("cache_array", tmp_path)
-        assert paths["pstats"].exists()
-        assert "scenario-cache_array" in paths["collapsed"].name
+    def test_scenario_profile_writes_artifacts(self, tmp_path, capsys):
+        assert main(["profile", "access_loop", "--scenario", "--out", str(tmp_path)]) == 0
+        [path] = tmp_path.iterdir()
+        assert path.name == "profile-scenario-access_loop.collapsed"
+        assert "_bare_loop" in path.read_text()
+        assert "top self-sample functions" in capsys.readouterr().out

@@ -2,11 +2,13 @@
 
 Boots the real server with the real ``execute_job`` on a tiny job
 (quota small enough to finish in well under a second) and checks the
-PR's acceptance chain: the trace id minted at HTTP ingress shows up in
-the structured access log, in the exported span file (with the
-ingress → admission → queue → execute → sim-phase nesting), and in the
-sweep manifest — while the cached result bytes stay byte-identical to
-an untraced run.
+acceptance chain: the trace id minted at HTTP ingress shows up in the
+structured access log, in the exported span file (with the ingress →
+admission → queue → execute → sim-phase nesting), and in the sweep
+manifest — while the cached result bytes stay byte-identical to an
+untraced run.  The sim phases are sampled on a worker's main thread,
+so the tests that read them run a one-worker pool service; a serial
+service runs jobs on its broker thread and reports none.
 """
 
 import io
@@ -48,7 +50,8 @@ def tiny_job(**overrides) -> SimJob:
 
 
 class LiveService:
-    """A real-execute server on an ephemeral port (inline broker)."""
+    """A real-execute server on an ephemeral port (serial unless
+    ``workers`` is set)."""
 
     def __init__(self, tmp_path, **overrides):
         defaults = dict(port=0, workers=0, cache_dir=str(tmp_path / "cache"))
@@ -128,7 +131,7 @@ class TestTracePropagation:
     def test_one_trace_id_joins_every_artifact(
         self, tmp_path, captured_access_log
     ):
-        with LiveService(tmp_path) as service:
+        with LiveService(tmp_path, workers=1) as service:
             status, body, headers = service.request(
                 "POST",
                 "/v1/sweeps",
@@ -234,7 +237,7 @@ class TestOneTimeline:
         """A sweep's spans render through the one Chrome-trace writer
         as one process whose lanes nest, from ingress to the host
         phases, which share their execute span's lane."""
-        with LiveService(tmp_path) as service:
+        with LiveService(tmp_path, workers=1) as service:
             _, body, _ = service.request(
                 "POST", "/v1/sweeps", job_body(tiny_job())
             )
@@ -269,6 +272,29 @@ class TestOneTimeline:
             )
 
 
+class TestSerialBackend:
+    def test_serial_execute_has_no_phase_children(self, tmp_path):
+        """A job run on the broker thread cannot be sampled: its execute
+        span has no phase children, and its cache entry is the bytes a
+        sampled pool worker stores."""
+        job = tiny_job()
+        key = job_key(job)
+        for name, workers in (("serial", 0), ("pool", 1)):
+            with LiveService(tmp_path / name, workers=workers) as service:
+                _, body, _ = service.request("POST", "/v1/sweeps", job_body(job))
+                sweep_id = body["sweep"]["id"]
+                service.wait_done(sweep_id)
+                _, trace_doc, _ = service.request(
+                    "GET", f"/v1/sweeps/{sweep_id}/trace"
+                )
+            kinds = {span["kind"] for span in trace_doc["spans"]}
+            assert "worker" in kinds
+            assert ("phase" in kinds) is (name == "pool")
+        serial = (tmp_path / "serial" / "cache" / f"{key}.json").read_bytes()
+        pool = (tmp_path / "pool" / "cache" / f"{key}.json").read_bytes()
+        assert serial == pool
+
+
 class TestSpanBookStaysBounded:
     def test_sequential_sweeps_export_whole_chains_and_free_the_book(
         self, tmp_path
@@ -285,7 +311,7 @@ class TestSpanBookStaysBounded:
             assert root.name == "ingress"
             return {span["name"] for span in spans}
 
-        with LiveService(tmp_path) as service:
+        with LiveService(tmp_path, workers=1) as service:
             book = service.broker.spans
             first = service.request(
                 "POST", "/v1/sweeps", job_body(tiny_job())

@@ -161,7 +161,9 @@ class TestChromeTrace:
                 "phases": {
                     "sim_loop": {"s": 0.2, "count": 1},
                     "l1_access": {"s": 0.6, "count": 40_000},
-                    "idle_phase": {"s": 0.0, "count": 1},  # zero: dropped
+                    # no sample, but a count: a zero-width slice
+                    "replacement": {"s": 0.0, "count": 12},
+                    "idle_phase": {"s": 0.0, "count": 0},  # zero: dropped
                 },
             },
         )
@@ -173,12 +175,14 @@ class TestChromeTrace:
         ]
         # Widest phase first, laid back to back from the job start.
         assert [span["name"] for span in host_spans] == [
-            "l1_access", "sim_loop",
+            "l1_access", "sim_loop", "replacement",
         ]
         assert host_spans[0]["ts"] == 2.0e6
         assert host_spans[0]["dur"] == 0.6e6
         assert host_spans[1]["ts"] == 2.6e6
         assert host_spans[0]["args"]["count"] == 40_000
+        assert host_spans[2]["dur"] == 0
+        assert host_spans[2]["args"]["count"] == 12
         [job_span] = _job_slices(trace)
         # Same lane as the job, and contained within its span.
         assert {span["tid"] for span in host_spans} == {job_span["tid"]}

@@ -1,11 +1,11 @@
 """Probed-path golden table: TLA policy × probe set on MIX_10.
 
-A *probe* is anything that keeps a core off its bare loop: a phase
-timer, telemetry (event tracer plus interval collector), a prefetcher
-or a CacheSan sanitizer.  The cross-product suite pins the simulated
-statistics with a sanitizer on and off; this table also pins what the
-probes themselves record, so a change to the probed loop cannot move a
-per-phase count, an interval window or a traced event unnoticed.
+A *probe* is anything that keeps a core off its bare loop: telemetry
+(event tracer plus interval collector), a prefetcher or a CacheSan
+sanitizer.  The cross-product suite pins the simulated statistics with
+a sanitizer on and off; this table also pins what the probes
+themselves record, so a change to the probed loop cannot move an
+interval window or a traced event unnoticed.
 
 Each combination's digest is one short SHA-256 per component:
 
@@ -13,8 +13,6 @@ Each combination's digest is one short SHA-256 per component:
                issued, and every core's instruction/cycle counts and
                measurement-window boundary cycles (floats by ``repr``);
 ``host``       the host digest's access and instruction counts;
-``phases``     per-phase entry counts (phase *times* are wall clock,
-               so they are not pinned);
 ``intervals``  the interval series, window by window;
 ``events``     the tracer's summary and its full event list.
 
@@ -32,86 +30,72 @@ import pytest
 
 from repro import CMPSimulator, SimConfig, baseline_hierarchy
 from repro.config import PrefetchConfig, SanitizeConfig, tla_preset
-from repro.perf import PhaseTimer
 from repro.telemetry import TelemetryConfig
 from repro.workloads import mix_by_name
 from tests.test_regression_crossprod import GOLDEN as CROSSPROD_GOLDEN
 from tests.test_regression_crossprod import QUOTA, SCALE, WARMUP, digest_of
 
-COMPONENTS = ("sim", "host", "phases", "intervals", "events")
+COMPONENTS = ("sim", "host", "intervals", "events")
 
 PRESETS = ("none", "tlh-l1", "qbs", "eci")
 
 #: probe-set name -> the probes it attaches.
 PROBE_SETS = {
-    "timer": {"timer"},
     "telemetry": {"telemetry"},
     "prefetch": {"prefetch"},
     "sanitize": {"sanitize"},
-    "all": {"timer", "telemetry", "prefetch", "sanitize"},
+    "all": {"telemetry", "prefetch", "sanitize"},
 }
 
 #: (tla preset, probe set) -> component digests, in COMPONENTS order.
 GOLDEN = {
-    ("none", "timer"): (
-        "2808292dc6c7", "920f0915c064", "551948b9b8dd", None, None,
-    ),
     ("none", "telemetry"): (
-        "2808292dc6c7", "920f0915c064", None, "15d94c6bf8ee", "e875d12922c6",
+        "2808292dc6c7", "920f0915c064", "15d94c6bf8ee", "e875d12922c6",
     ),
     ("none", "prefetch"): (
-        "263c99628351", "bf7bfe558176", None, None, None,
+        "263c99628351", "bf7bfe558176", None, None,
     ),
     ("none", "sanitize"): (
-        "2808292dc6c7", "920f0915c064", None, None, None,
+        "2808292dc6c7", "920f0915c064", None, None,
     ),
     ("none", "all"): (
-        "263c99628351", "bf7bfe558176", "2e6c4f6884a7", "c3b9a8114873", "5e0402ad1830",
-    ),
-    ("tlh-l1", "timer"): (
-        "f263d223d709", "392b860bcfca", "8d7e8723354f", None, None,
+        "263c99628351", "bf7bfe558176", "c3b9a8114873", "5e0402ad1830",
     ),
     ("tlh-l1", "telemetry"): (
-        "f263d223d709", "392b860bcfca", None, "a7ae9bd4c6df", "b96cefdd5280",
+        "f263d223d709", "392b860bcfca", "a7ae9bd4c6df", "b96cefdd5280",
     ),
     ("tlh-l1", "prefetch"): (
-        "4de37e21d645", "e62c4dc72a30", None, None, None,
+        "4de37e21d645", "e62c4dc72a30", None, None,
     ),
     ("tlh-l1", "sanitize"): (
-        "f263d223d709", "392b860bcfca", None, None, None,
+        "f263d223d709", "392b860bcfca", None, None,
     ),
     ("tlh-l1", "all"): (
-        "4de37e21d645", "e62c4dc72a30", "6bbc9c454479", "429a7fb9d8e9", "c55bd37e732a",
-    ),
-    ("qbs", "timer"): (
-        "2a19e5ae1e5c", "6a08313f48e9", "e157878a48a2", None, None,
+        "4de37e21d645", "e62c4dc72a30", "429a7fb9d8e9", "c55bd37e732a",
     ),
     ("qbs", "telemetry"): (
-        "2a19e5ae1e5c", "6a08313f48e9", None, "831662e8dd85", "ccb91a9c9f05",
+        "2a19e5ae1e5c", "6a08313f48e9", "831662e8dd85", "ccb91a9c9f05",
     ),
     ("qbs", "prefetch"): (
-        "871313ac07d4", "2ccbede84f93", None, None, None,
+        "871313ac07d4", "2ccbede84f93", None, None,
     ),
     ("qbs", "sanitize"): (
-        "2a19e5ae1e5c", "6a08313f48e9", None, None, None,
+        "2a19e5ae1e5c", "6a08313f48e9", None, None,
     ),
     ("qbs", "all"): (
-        "871313ac07d4", "2ccbede84f93", "6c2a7e81f545", "fa0981cc4233", "9c7d2ae177ed",
-    ),
-    ("eci", "timer"): (
-        "3ae117de7c30", "324c51c2815e", "b2c978c20898", None, None,
+        "871313ac07d4", "2ccbede84f93", "fa0981cc4233", "9c7d2ae177ed",
     ),
     ("eci", "telemetry"): (
-        "3ae117de7c30", "324c51c2815e", None, "4aed157d45df", "290c05d8cdb0",
+        "3ae117de7c30", "324c51c2815e", "4aed157d45df", "290c05d8cdb0",
     ),
     ("eci", "prefetch"): (
-        "b6e15eb01800", "4adb51ba0efa", None, None, None,
+        "b6e15eb01800", "4adb51ba0efa", None, None,
     ),
     ("eci", "sanitize"): (
-        "3ae117de7c30", "324c51c2815e", None, None, None,
+        "3ae117de7c30", "324c51c2815e", None, None,
     ),
     ("eci", "all"): (
-        "b6e15eb01800", "4adb51ba0efa", "911d6c3b5455", "811750187cc6", "a086049359ba",
+        "b6e15eb01800", "4adb51ba0efa", "811750187cc6", "a086049359ba",
     ),
 }
 
@@ -135,7 +119,6 @@ def build(preset: str, probes: set) -> CMPSimulator:
         config,
         mix_by_name("MIX_10").traces(reference),
         telemetry=telemetry,
-        phase_timer=PhaseTimer() if "timer" in probes else None,
     )
 
 
@@ -170,21 +153,13 @@ def component_digests(sim: CMPSimulator, result) -> tuple:
         repr(result.max_cycles),
     )
     host = (result.host["accesses"], result.host["instructions"])
-    phases = None
-    if "phases" in result.host:
-        phases = _sha(
-            sorted(
-                (name, row["count"])
-                for name, row in result.host["phases"].items()
-            )
-        )
     intervals = None
     if result.intervals is not None:
         intervals = _sha(result.intervals.to_dict())
     events = None
     if sim.tracer is not None:
         events = _sha((sim.tracer.summary(), sim.tracer.events))
-    return (_sha(sim_state), _sha(host), phases, intervals, events)
+    return (_sha(sim_state), _sha(host), intervals, events)
 
 
 @pytest.mark.parametrize(
