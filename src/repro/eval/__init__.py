@@ -9,7 +9,7 @@ simulation**.  Four layers:
 * :mod:`~repro.eval.pairing` — align cached runs across policies by
   workload coordinate (manifest/cache discovery);
 * :mod:`~repro.eval.stats` — seeded bootstrap CIs, permutation and
-  sign tests, Holm correction, geomean-of-ratios (stdlib only);
+  sign tests, Holm correction, geomean-of-ratios (numpy optional);
 * :mod:`~repro.eval.slicing` — the metric set (throughput, LLC MPKI,
   miss rate, inclusion victims, back-invalidate-class traffic) and
   per-workload-category slices, plus interval-series overlays;

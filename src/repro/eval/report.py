@@ -91,7 +91,7 @@ def build_report(
         policies = [policy for policy in seen if policy != baseline]
     if not policies:
         raise EvalError("no candidate policy to compare against the baseline")
-    comparisons: List[Tuple[Pairing, List[SliceCell]]] = []
+    pairings: List[Pairing] = []
     for policy in policies:
         if policy not in seen:
             raise EvalError(
@@ -103,14 +103,15 @@ def build_report(
             raise EvalError(
                 f"no workload is cached under both {baseline!r} and {policy!r}"
             )
-        cells = build_cells(
-            pairing.pairs,
-            METRICS,
-            confidence=confidence,
-            resamples=resamples,
-            seed=seed,
-        )
-        comparisons.append((pairing, cells))
+        pairings.append(pairing)
+    contrast_cells = build_cells(
+        [pairing.pairs for pairing in pairings],
+        METRICS,
+        confidence=confidence,
+        resamples=resamples,
+        seed=seed,
+    )
+    comparisons = list(zip(pairings, contrast_cells))
     # Holm over the whole family, then scatter the adjusted values
     # back into their cells (order within the flat list is stable).
     flat = [cell for _, cells in comparisons for cell in cells]

@@ -25,7 +25,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from ..orchestrate import RunSummary
 from ..telemetry.events import BACK_INVALIDATE_CLASS
 from .pairing import Pair
-from .stats import PairedStats, derive_seed, paired_stats
+from .stats import PairedStats, SeedDraws, derive_seed
 
 #: slice label covering every pair regardless of category.
 SLICE_ALL = "All"
@@ -170,31 +170,42 @@ class SliceCell:
 
 
 def build_cells(
-    pairs: Sequence[Pair],
+    comparisons: Sequence[Sequence[Pair]],
     metrics: Sequence[Metric] = METRICS,
     confidence: float = 0.95,
     resamples: int = 2000,
     seed: int = 2010,
-) -> List[SliceCell]:
-    """Every (metric, slice) cell for one policy contrast, table order.
+) -> List[List[SliceCell]]:
+    """Every (metric, slice) cell of each policy contrast, table order.
 
-    Each cell resamples from its own :func:`~repro.eval.stats.derive_seed`
-    stream, so adding a metric or slice never perturbs the others'
-    intervals — reports stay stable under extension.
+    ``comparisons`` holds each contrast's pairs; the result holds each
+    contrast's cells.  Each cell resamples from its own
+    :func:`~repro.eval.stats.derive_seed` stream, so adding a metric or
+    slice never perturbs the others' intervals — reports stay stable
+    under extension.  That stream does not depend on the policy, so
+    the loop runs cell by cell across the contrasts and makes each
+    seed's draws once, dropping them before the next seed.
     """
-    cells: List[SliceCell] = []
+    sliced = [slice_pairs(pairs) for pairs in comparisons]
+    tags = sorted({name for slices in sliced for name in slices} - {SLICE_ALL})
+    cells: List[List[SliceCell]] = [[] for _ in comparisons]
     for metric in metrics:
-        for slice_name, members in slice_pairs(pairs).items():
-            a, b = metric_values(members, metric)
-            cell_seed = derive_seed(seed, f"{metric.name}:{slice_name}")
-            cells.append(
-                SliceCell(
-                    metric=metric.name,
-                    slice_name=slice_name,
-                    stats=paired_stats(a, b, confidence, resamples, cell_seed),
-                    higher_is_better=metric.higher_is_better,
-                )
+        for slice_name in [SLICE_ALL, *tags]:
+            draws = SeedDraws(
+                derive_seed(seed, f"{metric.name}:{slice_name}"), resamples
             )
+            for slices, contrast in zip(sliced, cells):
+                if slice_name not in slices:
+                    continue
+                a, b = metric_values(slices[slice_name], metric)
+                contrast.append(
+                    SliceCell(
+                        metric=metric.name,
+                        slice_name=slice_name,
+                        stats=draws.paired_stats(a, b, confidence),
+                        higher_is_better=metric.higher_is_better,
+                    )
+                )
     return cells
 
 

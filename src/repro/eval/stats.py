@@ -1,4 +1,4 @@
-"""Paired statistics on seeded, dependency-free resampling.
+"""Paired statistics on seeded resampling, in numpy array passes.
 
 The paper's claims are *paired* comparisons: the same workload runs
 under two policies and the per-workload difference is what carries
@@ -15,49 +15,55 @@ exactly the machinery those comparisons need and nothing more:
 * **geomean-of-ratios** summaries, the standard way to aggregate
   throughput ratios across workloads.
 
-Everything resamples through an explicitly seeded
-:class:`random.Random` — no numpy, no scipy, no global random state —
-so a report built twice from the same inputs is byte-identical
-(pinned by ``tests/eval/test_report.py``).
+Every interval and p-value is the one the per-draw reference loops
+below give: ``rng.randrange(n)`` per bootstrap draw and
+``rng.random() < 0.5`` per sign flip, on an explicitly seeded
+:class:`random.Random` (no global random state), so a report built
+twice from the same inputs is byte-identical (pinned by
+``tests/eval/test_report.py``).  With numpy the resamplers reproduce
+those loops bit for bit in array passes; without it the loops run.
 
-The resamplers draw in bulk yet reproduce, bit for bit, what a
-per-draw loop of ``rng.randrange(n)`` (bootstrap) and
-``rng.random() < 0.5`` (permutation) on the same seed would give.
-Both consume 32-bit Mersenne Twister words, which
+Both draw 32-bit Mersenne Twister words, which
 ``rng.getrandbits(32 * m)`` hands out m at a time:
+``randrange(n)`` is one word shifted right by ``32 - n.bit_length()``,
+redrawn while the result is ``>= n``, and ``random() < 0.5`` holds
+exactly when the first of its two words has its top bit clear.
 
-* ``randrange(n)`` is one word shifted right by
-  ``32 - n.bit_length()``, redrawn while the result is ``>= n``;
-* ``random() < 0.5`` holds exactly when the first of its two words
-  has its top bit clear.
+* **Bootstrap.**  Row sums ``A`` come from numpy in blocks, each with
+  the bound ``B = S (n + 2) 2**-52 + 2**-1074`` on its distance from
+  the row's :func:`math.fsum` (``S`` the row's sum of magnitudes).
+  For each interval end of rank k, rows whose whole ``[A - B, A + B]``
+  lies below the k-th smallest ``A - B``, or above the k-th smallest
+  ``A + B``, cannot hold the k-th exact sum; only the rows left get
+  ``math.fsum``.  An end that divides to zero is read off the full
+  sort instead, where stable row order picks its sign.
+* **Permutation.**  Row totals add the signed columns one at a time,
+  the loop's left-to-right IEEE addition done elementwise.
 
-The filtering runs in C (``bytes.translate`` over each word's top
-byte when ``n <= 255``, ``map``/``filter`` above that), bootstrap
-means keep their per-row :func:`math.fsum` and permutation totals are
-summed strictly left to right, so every interval and p-value equals
-the scalar loops' (``tests/eval/test_stats.py`` keeps those loops as
-the reference).
+:class:`SeedDraws` holds one seed's draws per pair count, so a report
+makes each cell seed's draws once and reuses them in every policy
+comparison.
 """
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import math
-import operator
-import sys
-from array import array
 from dataclasses import dataclass
-from itertools import cycle, islice, repeat
 from random import Random
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..errors import EvalError
 
+try:  # numpy runs the resamplers in array passes; the loops work too.
+    import numpy as _np
+except ImportError:  # pragma: no cover - CI runs tests/eval both ways
+    _np = None
+
 #: default resample count for bootstrap and permutation routines —
 #: enough for stable 3-decimal p-values at report scale.  A 45-cell
-#: report over 35 pairs at this count takes 0.4-0.55 s on a 2-vCPU
-#: x86-64 VM (1.0-1.9 s with per-draw loops).
+#: report over 35 pairs at this count takes 60-90 ms on a 2-vCPU
+#: x86-64 VM with numpy, 0.85-1.3 s with the per-draw loops.
 DEFAULT_RESAMPLES = 2000
 
 #: upper bound on the Mersenne Twister words drawn per bulk request:
@@ -65,8 +71,9 @@ DEFAULT_RESAMPLES = 2000
 #: ``resamples`` is, and larger chunks measured no faster.
 DRAW_CHUNK_WORDS = 1 << 12
 
-#: top byte of a word -> 1 when its top bit is set (``random() >= 0.5``).
-_TOP_BIT = bytes(byte >> 7 for byte in range(256))
+#: resample rows per array pass: bounds the float64 blocks of the
+#: bootstrap row sums and the sign-flip totals.
+BLOCK_ROWS = 256
 
 #: default two-sided confidence level for bootstrap intervals.
 DEFAULT_CONFIDENCE = 0.95
@@ -104,43 +111,272 @@ def paired_deltas(
     return [bv - av for av, bv in zip(a, b)]
 
 
-def _words(rng: Random, count: int) -> bytes:
-    """The next ``count`` 32-bit outputs of ``rng``, 4 bytes each.
+def _ranks(confidence: float, resamples: int) -> Tuple[int, int]:
+    """Positions of the percentile interval's ends in the sorted means."""
+    alpha = (1.0 - confidence) / 2.0
+    return (
+        int(math.floor(alpha * (resamples - 1))),
+        int(math.ceil((1.0 - alpha) * (resamples - 1))),
+    )
+
+
+def _enumerates(n: int, resamples: int) -> bool:
+    """Whether the permutation test enumerates all ``2**n`` signs."""
+    return 2 ** n <= max(resamples, 4096)
+
+
+def _reference_bootstrap_ci(
+    deltas: Sequence[float], confidence: float, resamples: int, seed: int
+) -> Tuple[float, float]:
+    """The per-draw bootstrap, one ``randrange`` per draw (reference)."""
+    rng = Random(seed)
+    n = len(deltas)
+    means = sorted(
+        math.fsum(deltas[rng.randrange(n)] for _ in range(n)) / n
+        for _ in range(resamples)
+    )
+    lo_index, hi_index = _ranks(confidence, resamples)
+    return means[lo_index], means[hi_index]
+
+
+def _reference_permutation_pvalue(
+    deltas: Sequence[float], resamples: int, seed: int
+) -> float:
+    """The per-draw sign-flip test, one ``random`` per flip (reference)."""
+    n = len(deltas)
+    observed = abs(math.fsum(deltas))
+    # Exhaustive for small n: every p-value is a rational with a
+    # fixed denominator, so repeated reports agree to the last bit.
+    if _enumerates(n, resamples):
+        hits = 0
+        for mask in range(2 ** n):
+            total = 0.0
+            for index, delta in enumerate(deltas):
+                total += delta if mask >> index & 1 else -delta
+            if abs(total) >= observed - 1e-12:
+                hits += 1
+        return hits / 2 ** n
+    rng = Random(seed)
+    hits = 0
+    for _ in range(resamples):
+        total = 0.0
+        for delta in deltas:
+            total += delta if rng.random() < 0.5 else -delta
+        if abs(total) >= observed - 1e-12:
+            hits += 1
+    return (hits + 1) / (resamples + 1)
+
+
+def _words(rng: Random, count: int):
+    """The next ``count`` 32-bit outputs of ``rng``, as a uint32 array.
 
     ``getrandbits`` fills its result from the least significant word
     up, in draw order, so the little-endian bytes hold the i-th word
     at ``[4 * i, 4 * i + 4)`` on any host.
     """
-    return rng.getrandbits(32 * count).to_bytes(4 * count, "little")
+    return _np.frombuffer(
+        rng.getrandbits(32 * count).to_bytes(4 * count, "little"), "<u4"
+    )
 
 
-def _randrange_draws(rng: Random, n: int, count: int) -> Iterator[Sequence[int]]:
-    """The next ``count`` values of ``rng.randrange(n)``, in chunks.
+def _randrange_draws(rng: Random, n: int, count: int):
+    """The next ``count`` values of ``rng.randrange(n)``, in one array.
 
     Each chunk asks for the words still needed at the acceptance rate
     ``n / 2**k`` (at least one half), capped at ``DRAW_CHUNK_WORDS``;
     draws past ``count`` in the last chunk are dropped.
     """
     k = n.bit_length()
-    if k <= 8:
-        # The kept bits all sit in the word's top byte.
-        table = bytes(byte >> (8 - k) for byte in range(256))
-        reject = bytes(byte for byte in range(256) if byte >> (8 - k) >= n)
-    while count > 0:
-        raw = _words(rng, min(DRAW_CHUNK_WORDS, -(-(count << k) // n)))
-        if k <= 8:
-            draws: Sequence[int] = raw[3::4].translate(table, reject)
-        else:
-            words = array("I", raw)
-            if sys.byteorder == "big":
-                words.byteswap()
-            draws = list(
-                filter(n.__gt__, map(operator.rshift, words, repeat(32 - k)))
+    draws = _np.empty(count, _np.min_scalar_type(n - 1))
+    filled = 0
+    while filled < count:
+        wanted = count - filled
+        words = _words(rng, min(DRAW_CHUNK_WORDS, -(-(wanted << k) // n)))
+        kept = words >> (32 - k)
+        kept = kept[kept < n][:wanted]
+        draws[filled:filled + len(kept)] = kept
+        filled += len(kept)
+    return draws
+
+
+def _flip_draws(rng: Random, count: int):
+    """The next ``count`` sign flips: True where ``rng.random() >= 0.5``.
+
+    ``random()`` spends two words a call, so the flips are the top bits
+    of the even-numbered words, counted across chunks.
+    """
+    flips = _np.empty(count, bool)
+    filled = parity = 0
+    remaining = 2 * count
+    while remaining:
+        size = min(DRAW_CHUNK_WORDS, remaining)
+        tops = _words(rng, size)[parity::2] >> 31
+        flips[filled:filled + len(tops)] = tops
+        filled += len(tops)
+        parity ^= size & 1
+        remaining -= size
+    return flips
+
+
+def _finite_array(deltas: Sequence[float]):
+    """``deltas`` as float64, when numpy is present and no sum over
+    them can overflow (where ``math.fsum`` raises); else ``None``."""
+    if _np is None:
+        return None
+    values = _np.array(deltas, dtype=float)
+    reach = 4.0 * len(values) * float(_np.abs(values).max())
+    return values if math.isfinite(reach) else None
+
+
+def _exact_sums(pick, rows) -> List[float]:
+    """``math.fsum`` of each row of indices into ``pick``'s values."""
+    return [math.fsum(map(pick, row)) for row in rows.tolist()]
+
+
+class SeedDraws:
+    """One seed's resampling draws, made once per pair count.
+
+    A report resamples every policy comparison of one (metric, slice)
+    cell from that cell's seed, so comparisons with equal pair counts
+    draw the same indices and signs: holding them here makes them
+    once.  The methods are the resamplers; :func:`bootstrap_ci`,
+    :func:`permutation_pvalue` and :func:`paired_stats` call them on a
+    fresh instance.
+    """
+
+    def __init__(self, seed: int, resamples: int) -> None:
+        self.seed = seed
+        self.resamples = resamples
+        self._indices: Dict[int, object] = {}
+        self._flips: Dict[int, object] = {}
+
+    def indices(self, n: int):
+        """``resamples x n`` bootstrap draws, one resample per row."""
+        if n not in self._indices:
+            self._indices[n] = _randrange_draws(
+                Random(self.seed), n, self.resamples * n
+            ).reshape(self.resamples, n)
+        return self._indices[n]
+
+    def flips(self, n: int):
+        """``resamples x n`` sign flips, one assignment per row."""
+        if n not in self._flips:
+            self._flips[n] = _flip_draws(
+                Random(self.seed), self.resamples * n
+            ).reshape(self.resamples, n)
+        return self._flips[n]
+
+    def bootstrap_ci(
+        self, deltas: Sequence[float], confidence: float
+    ) -> Tuple[float, float]:
+        """See :func:`bootstrap_ci`."""
+        if not deltas:
+            raise EvalError("bootstrap over an empty sample")
+        if not 0.0 < confidence < 1.0:
+            raise EvalError("confidence must be in (0, 1)")
+        if self.resamples < 1:
+            raise EvalError("resamples must be positive")
+        values = _finite_array(deltas)
+        if values is None:
+            return _reference_bootstrap_ci(
+                deltas, confidence, self.resamples, self.seed
             )
-        if len(draws) > count:
-            draws = draws[:count]
-        count -= len(draws)
-        yield draws
+        n = len(deltas)
+        bits = values.view(_np.int64)
+        if (bits == bits[0]).all():
+            # Every resample is n copies of one float: one mean.
+            same = math.fsum([deltas[0]] * n) / n
+            return same, same
+        rows = self.indices(n)
+        sums = _np.empty(self.resamples)
+        bounds = _np.empty(self.resamples)
+        for start in range(0, self.resamples, BLOCK_ROWS):
+            block = values.take(rows[start:start + BLOCK_ROWS])
+            stop = start + len(block)
+            block.sum(axis=1, out=sums[start:stop])
+            _np.abs(block, out=block).sum(axis=1, out=bounds[start:stop])
+        # |sum - fsum| <= S * (gamma_{n-1} + 2**-53) in any summation
+        # order; twice that, plus the subnormal floor for underflow.
+        bounds *= (n + 2) * 2.0 ** -52
+        bounds += 2.0 ** -1074
+        low = sums - bounds
+        high = sums + bounds
+        pick = values.tolist().__getitem__
+        ends = []
+        for rank in _ranks(confidence, self.resamples):
+            # Rows wholly below the rank-th lowest bound, or above the
+            # rank-th highest, cannot hold the rank-th exact sum.
+            below = high < _np.partition(low, rank)[rank]
+            open_rows = ~below & (low <= _np.partition(high, rank)[rank])
+            exact = sorted(_exact_sums(pick, rows[open_rows]))
+            end = exact[rank - int(_np.count_nonzero(below))] / n
+            if end == 0:
+                # -0.0 == 0.0, so the reference's stable sort takes the
+                # sign of the first such row: read it off the full sort.
+                end = sorted(
+                    total / n
+                    for start in range(0, self.resamples, BLOCK_ROWS)
+                    for total in _exact_sums(
+                        pick, rows[start:start + BLOCK_ROWS]
+                    )
+                )[rank]
+            ends.append(end)
+        return ends[0], ends[1]
+
+    def permutation_pvalue(self, deltas: Sequence[float]) -> float:
+        """See :func:`permutation_pvalue`."""
+        if not deltas:
+            raise EvalError("permutation test over an empty sample")
+        if self.resamples < 1:
+            raise EvalError("resamples must be positive")
+        values = _finite_array(deltas)
+        if values is None:
+            return _reference_permutation_pvalue(
+                deltas, self.resamples, self.seed
+            )
+        n = len(deltas)
+        threshold = abs(math.fsum(deltas)) - 1e-12
+        if threshold <= 0:
+            # Every assignment's |total| reaches the threshold.
+            return 1.0
+        if _enumerates(n, self.resamples):
+            # Sign masks in order: bit j clear (the first half) takes
+            # -delta_j, and each total is still summed left to right.
+            totals = _np.zeros(1)
+            for delta in values:
+                totals = _np.concatenate((totals - delta, totals + delta))
+            return int(_np.count_nonzero(abs(totals) >= threshold)) / 2 ** n
+        flips = self.flips(n)
+        negated = -values
+        hits = 0
+        for start in range(0, self.resamples, BLOCK_ROWS):
+            terms = _np.where(flips[start:start + BLOCK_ROWS], negated, values)
+            totals = _np.zeros(len(terms))
+            for column in terms.T:
+                totals += column
+            hits += int(_np.count_nonzero(abs(totals) >= threshold))
+        return (hits + 1) / (self.resamples + 1)
+
+    def paired_stats(
+        self, a: Sequence[float], b: Sequence[float], confidence: float
+    ) -> PairedStats:
+        """See :func:`paired_stats`."""
+        deltas = paired_deltas(a, b)
+        ci_low, ci_high = self.bootstrap_ci(deltas, confidence)
+        return PairedStats(
+            n=len(deltas),
+            mean_a=mean(a),
+            mean_b=mean(b),
+            mean_delta=mean(deltas),
+            ci_low=ci_low,
+            ci_high=ci_high,
+            p_permutation=self.permutation_pvalue(deltas),
+            p_sign=sign_test_pvalue(deltas),
+            geomean_ratio=geomean_ratio(a, b),
+            wins=sum(1 for delta in deltas if delta > 0),
+            losses=sum(1 for delta in deltas if delta < 0),
+            ties=sum(1 for delta in deltas if delta == 0),
+        )
 
 
 def bootstrap_ci(
@@ -158,29 +394,7 @@ def bootstrap_ci(
     accuracy; the coverage property test in ``tests/eval`` pins that
     the achieved coverage tracks ``confidence`` on synthetic data.
     """
-    if not deltas:
-        raise EvalError("bootstrap over an empty sample")
-    if not 0.0 < confidence < 1.0:
-        raise EvalError("confidence must be in (0, 1)")
-    if resamples < 1:
-        raise EvalError("resamples must be positive")
-    n = len(deltas)
-    pick = list(deltas).__getitem__
-    means: List[float] = []
-    pending: List[float] = []
-    for draws in _randrange_draws(Random(seed), n, resamples * n):
-        pending.extend(map(pick, draws))
-        end = len(pending) - len(pending) % n
-        means.extend(
-            math.fsum(pending[start:start + n]) / n
-            for start in range(0, end, n)
-        )
-        del pending[:end]
-    means.sort()
-    alpha = (1.0 - confidence) / 2.0
-    lo_index = int(math.floor(alpha * (resamples - 1)))
-    hi_index = int(math.ceil((1.0 - alpha) * (resamples - 1)))
-    return means[lo_index], means[hi_index]
+    return SeedDraws(seed, resamples).bootstrap_ci(deltas, confidence)
 
 
 def permutation_pvalue(
@@ -197,42 +411,7 @@ def permutation_pvalue(
     random assignments and applies the standard +1 correction so the
     estimate can never claim p == 0.
     """
-    if not deltas:
-        raise EvalError("permutation test over an empty sample")
-    if resamples < 1:
-        raise EvalError("resamples must be positive")
-    n = len(deltas)
-    observed = abs(math.fsum(deltas))
-    # Exhaustive for small n: every p-value is a rational with a
-    # fixed denominator, so repeated reports agree to the last bit.
-    if 2 ** n <= max(resamples, 4096):
-        hits = 0
-        for mask in range(2 ** n):
-            total = 0.0
-            for index, delta in enumerate(deltas):
-                total += delta if mask >> index & 1 else -delta
-            if abs(total) >= observed - 1e-12:
-                hits += 1
-        return hits / 2 ** n
-    rng = Random(seed)
-    signed = [(delta, -delta) for delta in deltas]
-    threshold = observed - 1e-12
-    rows_per_chunk = max(1, DRAW_CHUNK_WORDS // (2 * n))
-    hits = 0
-    remaining = resamples
-    while remaining:
-        rows = min(rows_per_chunk, remaining)
-        remaining -= rows
-        # random() spends two words per call; the top byte of the
-        # first sits at offset 3 of each 8-byte pair.
-        flips = _words(rng, 2 * n * rows)[3::8].translate(_TOP_BIT)
-        terms = map(operator.getitem, cycle(signed), flips)
-        totals = [
-            functools.reduce(operator.add, islice(terms, n), 0.0)
-            for _ in range(rows)
-        ]
-        hits += sum(map(threshold.__le__, map(abs, totals)))
-    return (hits + 1) / (resamples + 1)
+    return SeedDraws(seed, resamples).permutation_pvalue(deltas)
 
 
 def sign_test_pvalue(deltas: Sequence[float]) -> float:
@@ -343,19 +522,4 @@ def paired_stats(
     seed: int = DEFAULT_SEED,
 ) -> PairedStats:
     """The full paired-comparison summary for one metric on one slice."""
-    deltas = paired_deltas(a, b)
-    ci_low, ci_high = bootstrap_ci(deltas, confidence, resamples, seed)
-    return PairedStats(
-        n=len(deltas),
-        mean_a=mean(a),
-        mean_b=mean(b),
-        mean_delta=mean(deltas),
-        ci_low=ci_low,
-        ci_high=ci_high,
-        p_permutation=permutation_pvalue(deltas, resamples, seed),
-        p_sign=sign_test_pvalue(deltas),
-        geomean_ratio=geomean_ratio(a, b),
-        wins=sum(1 for delta in deltas if delta > 0),
-        losses=sum(1 for delta in deltas if delta < 0),
-        ties=sum(1 for delta in deltas if delta == 0),
-    )
+    return SeedDraws(seed, resamples).paired_stats(a, b, confidence)

@@ -122,7 +122,9 @@ TRACE_HEADER = "X-Repro-Trace"
 
 #: largest ``?resamples`` the report endpoint accepts: a report's cost
 #: grows linearly with it, and one request holds a handler thread for
-#: its whole duration.
+#: its whole duration.  Its memory grows too: each live cell seed holds
+#: ``resamples x n`` bootstrap index bytes and as many sign-flip bytes
+#: (``repro.eval.stats.SeedDraws``), about 21 MB at 100 000 x 105.
 MAX_REPORT_RESAMPLES = 100_000
 
 

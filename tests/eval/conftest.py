@@ -9,9 +9,11 @@ run a simulation.
 
 import hashlib
 import random
+from dataclasses import replace
 
 import pytest
 
+from repro.eval import record_from_summary
 from repro.orchestrate import ResultCache, RunSummary
 
 #: (mix name, app tuple) — apps chosen so categories differ:
@@ -95,3 +97,43 @@ def populate_cache(tmp_path):
         return directory
 
     return populate
+
+
+#: (category tag, workload count) of the Monte-Carlo fixture: 35
+#: pairs, so ``All`` and the 16-pair tag take the seeded sign-flip
+#: branch (n > 12), the 12-pair tag the exact-enumeration edge and
+#: the 7-pair tag a small exact cell.
+MC_CATEGORIES = (("LLCT+LLCT", 16), ("LLCT+LLCF", 12), ("CCF+LLCT", 7))
+
+#: the baseline, a policy with the synthetic benefit, one without
+#: (deltas around zero) and one whose runs equal the baseline's
+#: (every delta 0, as for a policy that changed nothing).
+MC_POLICIES = (
+    ("inclusive", "none"),
+    ("inclusive", "eci"),
+    ("non_inclusive", "none"),
+    ("inclusive", "tlh-l1"),
+)
+
+
+@pytest.fixture
+def mc_records():
+    """RunRecords of MC_CATEGORIES x MC_POLICIES, with no simulation."""
+    records = []
+    index = 0
+    for category, count in MC_CATEGORIES:
+        for _ in range(count):
+            mix = f"MC_{index:02d}"
+            apps = (f"a{index:02d}", f"b{index:02d}")
+            index += 1
+            for mode, tla in MC_POLICIES:
+                if tla == "tlh-l1":
+                    summary = replace(make_summary(mix, apps), tla=tla)
+                else:
+                    summary = make_summary(mix, apps, mode, tla)
+                records.append(
+                    record_from_summary(
+                        fake_key(mix, mode, tla), summary, category
+                    )
+                )
+    return records

@@ -9,6 +9,7 @@ meaningful instruction.
 import hashlib
 import json
 import random
+import tracemalloc
 
 import pytest
 
@@ -126,6 +127,21 @@ class TestDeterminism:
             "f4d4415a70aca9e4b232a0c08961777d696cb875bc93a94f2789f6917df58f46"
         )
 
+    def test_monte_carlo_report_bytes_are_pinned(self, mc_records):
+        """sha256 of the default report over the 35-pair fixture,
+        recorded with the stdlib resamplers: its ``All`` and 16-pair
+        cells take the seeded sign-flip branch and its no-op policy
+        the all-tie cells, which the 3-pair grid above never reaches."""
+        report = build_report(mc_records)
+        assert hashlib.sha256(render_json(report).encode()).hexdigest() == (
+            "baf931d1c1104991c82aa50bb06b5f549ae627191cd374290ebd2731dda216b9"
+        )
+        assert hashlib.sha256(
+            render_markdown(report).encode()
+        ).hexdigest() == (
+            "3b319227716a4773da77c8ec3e359aec8ac7a8589ba506e9488636b2738055fb"
+        )
+
     def test_fingerprint_tracks_the_input_set(self, records):
         assert report_fingerprint(records) == report_fingerprint(
             list(reversed(records))
@@ -161,6 +177,22 @@ class TestDeterminism:
         assert check(
             json.loads(outputs[0][0].decode()), EVAL_REPORT_SCHEMA
         ) == []
+
+
+class TestMemory:
+    def test_report_peak_stays_under_one_mib(self, mc_records):
+        """Each cell seed's draws live only while its comparisons are
+        resampled, and rows go through fixed-size blocks, so the
+        report's traced peak (numpy reports its buffers too) stays
+        small whatever the pair count."""
+        build_report(mc_records, resamples=50)  # imports and caches warm
+        tracemalloc.start()
+        try:
+            build_report(mc_records)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20, f"peak {peak / 2**20:.2f} MiB"
 
 
 class TestCli:

@@ -5,8 +5,8 @@ achieve (roughly) its configured coverage would make every interval in
 every report a lie.  It is a seeded Monte-Carlo study, so the measured
 coverage is a fixed number and the assertion band cannot flake.
 
-The bulk resamplers must also equal, bit for bit, the per-draw loops
-they replaced; those loops live on here as the reference.
+The numpy array passes must also equal, bit for bit, the per-draw
+loops ``repro.eval.stats`` keeps as its reference and numpy-less path.
 """
 
 import math
@@ -21,6 +21,7 @@ from repro.errors import EvalError
 from repro.eval import stats as eval_stats
 from repro.eval import (
     bootstrap_ci,
+    build_report,
     derive_seed,
     geomean,
     geomean_ratio,
@@ -28,6 +29,7 @@ from repro.eval import (
     paired_deltas,
     paired_stats,
     permutation_pvalue,
+    render_json,
     sign_test_pvalue,
 )
 
@@ -206,49 +208,41 @@ class TestPairedStats:
         assert set(stats.to_dict()) >= {"n", "ci_low", "p_permutation"}
 
 
-# -- bulk draws vs the per-draw reference loops --------------------------------
+# -- array passes vs the per-draw reference loops -----------------------------
+
+reference_bootstrap_ci = eval_stats._reference_bootstrap_ci
+reference_permutation_pvalue = eval_stats._reference_permutation_pvalue
 
 
-def scalar_bootstrap_ci(deltas, confidence, resamples, seed):
-    """The original per-draw bootstrap (reference)."""
-    rng = random.Random(seed)
-    n = len(deltas)
-    means = sorted(
-        math.fsum(deltas[rng.randrange(n)] for _ in range(n)) / n
-        for _ in range(resamples)
+def assert_same_bits(got, want):
+    """``repr`` equality: ``==`` passes -0.0 for 0.0, but
+    ``render_json`` prints the two differently."""
+    assert repr(got) == repr(want)
+
+
+def assert_matches_reference(deltas, confidence, resamples, seed):
+    assert_same_bits(
+        bootstrap_ci(deltas, confidence, resamples, seed),
+        reference_bootstrap_ci(deltas, confidence, resamples, seed),
     )
-    alpha = (1.0 - confidence) / 2.0
-    lo_index = int(math.floor(alpha * (resamples - 1)))
-    hi_index = int(math.ceil((1.0 - alpha) * (resamples - 1)))
-    return means[lo_index], means[hi_index]
-
-
-def scalar_permutation_pvalue(deltas, resamples, seed):
-    """The original per-draw permutation test (reference)."""
-    n = len(deltas)
-    observed = abs(math.fsum(deltas))
-    if 2 ** n <= max(resamples, 4096):
-        hits = 0
-        for mask in range(2 ** n):
-            total = 0.0
-            for index, delta in enumerate(deltas):
-                total += delta if mask >> index & 1 else -delta
-            if abs(total) >= observed - 1e-12:
-                hits += 1
-        return hits / 2 ** n
-    rng = random.Random(seed)
-    hits = 0
-    for _ in range(resamples):
-        total = 0.0
-        for delta in deltas:
-            total += delta if rng.random() < 0.5 else -delta
-        if abs(total) >= observed - 1e-12:
-            hits += 1
-    return (hits + 1) / (resamples + 1)
+    assert_same_bits(
+        permutation_pvalue(deltas, resamples, seed),
+        reference_permutation_pvalue(deltas, resamples, seed),
+    )
 
 
 #: deltas drawn from a handful of values, so ties and zero sums occur.
 tied_floats = st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, 1e-13, 3.25])
+
+#: subnormals and the smallest normal, whose sums and means underflow.
+tiny_floats = st.sampled_from(
+    [5e-324, -5e-324, 1e-310, -2.5e-320, 2.2250738585072014e-308]
+)
+
+#: any magnitude from subnormal to 1e300, for wide exponent spreads.
+wide_floats = st.floats(
+    min_value=-1e300, max_value=1e300, allow_nan=False, allow_infinity=False
+)
 
 
 def sample(n, values):
@@ -257,49 +251,138 @@ def sample(n, values):
 
 
 class TestBulkMatchesScalarReference:
-    """n from 1 to 300 covers the top-byte (n <= 255) and full-word
-    draw paths and the exact-enumeration branch (n <= 12); a tiny
-    chunk bound forces draws to carry across chunks."""
+    """The numpy array passes against the per-draw loops, by ``repr``.
+
+    n from 1 to 300 covers uint8 (n <= 256) and uint16 index storage
+    and the exact-enumeration branch (n <= 12); tiny chunk and block
+    caps force draws across chunks and rows across blocks."""
 
     @given(
         n=st.integers(min_value=1, max_value=300),
         values=st.lists(
-            st.one_of(finite_floats, tied_floats), min_size=1, max_size=40
+            st.one_of(finite_floats, tied_floats, tiny_floats, wide_floats),
+            min_size=1,
+            max_size=40,
         ),
         resamples=st.integers(min_value=1, max_value=60),
         seed=st.integers(min_value=0, max_value=2**48),
         chunk=st.sampled_from([1, 7, 64, eval_stats.DRAW_CHUNK_WORDS]),
+        block=st.sampled_from([1, 3, eval_stats.BLOCK_ROWS]),
     )
-    @example(n=1, values=[0.0], resamples=5, seed=0, chunk=1)
-    @example(n=255, values=[0.0], resamples=3, seed=1, chunk=7)
-    @example(n=256, values=[1.0, -1.0], resamples=3, seed=2, chunk=7)
-    @example(n=300, values=[0.5, 0.5, -0.25], resamples=2, seed=3, chunk=64)
+    @example(n=1, values=[0.0], resamples=5, seed=0, chunk=1, block=1)
+    @example(n=255, values=[0.0], resamples=3, seed=1, chunk=7, block=3)
+    @example(n=256, values=[1.0, -1.0], resamples=3, seed=2, chunk=7, block=1)
+    @example(
+        n=300, values=[0.5, 0.5, -0.25], resamples=2, seed=3, chunk=64,
+        block=256,
+    )
+    @example(
+        n=13, values=[5e-324, -5e-324, 0.0], resamples=40, seed=4, chunk=7,
+        block=3,
+    )
+    @example(
+        n=40, values=[1e300, -1e-300, 3.0, -1e150], resamples=60, seed=5,
+        chunk=64, block=3,
+    )
     @settings(max_examples=80, deadline=None)
-    def test_identical_results(self, n, values, resamples, seed, chunk):
+    def test_identical_results(self, n, values, resamples, seed, chunk, block):
         deltas = sample(n, values)
-        with mock.patch.object(eval_stats, "DRAW_CHUNK_WORDS", chunk):
-            assert bootstrap_ci(
-                deltas, 0.9, resamples, seed
-            ) == scalar_bootstrap_ci(deltas, 0.9, resamples, seed)
-            assert permutation_pvalue(
-                deltas, resamples, seed
-            ) == scalar_permutation_pvalue(deltas, resamples, seed)
+        with mock.patch.object(eval_stats, "DRAW_CHUNK_WORDS", chunk), \
+                mock.patch.object(eval_stats, "BLOCK_ROWS", block):
+            assert_matches_reference(deltas, 0.9, resamples, seed)
 
     @pytest.mark.parametrize("n", [1, 12, 13, 35, 255, 256])
     def test_default_resamples(self, n):
         rng = random.Random(n)
         deltas = [rng.gauss(0.05, 0.2) for _ in range(n)]
-        assert bootstrap_ci(deltas) == scalar_bootstrap_ci(
-            deltas, 0.95, 2000, 2010
-        )
-        assert permutation_pvalue(deltas) == scalar_permutation_pvalue(
-            deltas, 2000, 2010
-        )
+        assert_matches_reference(deltas, 0.95, 2000, 2010)
 
     @pytest.mark.parametrize("n", [1, 13, 40])
     def test_all_zero_deltas(self, n):
         deltas = [0.0] * n
         assert bootstrap_ci(deltas, resamples=300) == (0.0, 0.0)
         assert permutation_pvalue(deltas, resamples=300) == (
-            scalar_permutation_pvalue(deltas, 300, 2010)
+            reference_permutation_pvalue(deltas, 300, 2010)
         ) == 1.0
+
+    @pytest.mark.parametrize(
+        "values, seed, ends",
+        [
+            # means of -5e-324 underflow to -0.0 and tie with 0.0.
+            ([5e-324, -5e-324, 5e-324], 0, "(-0.0, 5e-324)"),
+            ([-5e-324, 0.0], 0, "(-5e-324, -0.0)"),
+        ],
+    )
+    def test_signed_zero_end_follows_row_order(self, values, seed, ends):
+        assert repr(bootstrap_ci(values, 0.9, 50, seed)) == ends
+        assert_matches_reference(values, 0.9, 50, seed)
+
+    @pytest.mark.parametrize("n", [2, 13, 35, 257])
+    @pytest.mark.parametrize(
+        "values",
+        [[0.0, -0.0], [5e-324, -5e-324, 0.0], [1.0, -1.0, -0.0],
+         [-5e-324, -0.0, 1e-310, -1e-310]],
+    )
+    def test_zero_ends_at_report_scale(self, n, values):
+        """Tied and underflowing sums around zero, 2000 resamples."""
+        deltas = sample(n, values)
+        for seed in range(3):
+            assert_matches_reference(deltas, 0.95, 2000, seed)
+
+    @pytest.mark.parametrize("n", [1, 12, 13, 35, 300])
+    @pytest.mark.parametrize(
+        "value", [-0.0, 0.0, 5e-324, -1e-310, 0.1, -3.25, 1e300]
+    )
+    def test_all_tied_deltas_exit_early(self, n, value):
+        deltas = [value] * n
+        with mock.patch.object(eval_stats.SeedDraws, "indices") as drawn:
+            assert_same_bits(
+                bootstrap_ci(deltas, 0.95, 500, 7),
+                reference_bootstrap_ci(deltas, 0.95, 500, 7),
+            )
+        drawn.assert_not_called()
+
+    @pytest.mark.parametrize(
+        "deltas",
+        [[1.0, -1.0], [0.5, -0.25, -0.25] * 5, [2e-14, -3e-14] * 20,
+         [3.0, -0.0, -3.0] * 11],
+    )
+    def test_null_sum_permutation_exits_early(self, deltas):
+        """|sum| <= 1e-12: every assignment reaches the threshold."""
+        with mock.patch.object(eval_stats.SeedDraws, "flips") as drawn:
+            assert permutation_pvalue(deltas, 500, 7) == 1.0
+        drawn.assert_not_called()
+        assert reference_permutation_pvalue(deltas, 500, 7) == 1.0
+
+    @pytest.mark.parametrize(
+        "deltas", [[math.inf, 1.0], [math.nan, 0.5, -0.5], [1.0] * 12 + [-math.inf]]
+    )
+    def test_non_finite_deltas_take_the_reference(self, deltas):
+        assert_matches_reference(deltas, 0.9, 40, 3)
+
+    def test_overflowing_sums_raise_as_the_reference(self):
+        deltas = [1.5e308, 1.5e308, 1.0]
+        with pytest.raises(OverflowError):
+            reference_bootstrap_ci(deltas, 0.9, 20, 1)
+        with pytest.raises(OverflowError):
+            bootstrap_ci(deltas, 0.9, 20, 1)
+
+
+class TestWithoutNumpy:
+    """With ``_np`` unset the per-draw loops run, as on an install
+    without numpy, and every result stays the same."""
+
+    def test_resamplers_agree(self):
+        rng = random.Random(5)
+        for n in (7, 35):
+            deltas = [rng.gauss(0.1, 0.5) for _ in range(n)]
+            with_numpy = (bootstrap_ci(deltas), permutation_pvalue(deltas))
+            with mock.patch.object(eval_stats, "_np", None):
+                without = (bootstrap_ci(deltas), permutation_pvalue(deltas))
+            assert_same_bits(with_numpy, without)
+
+    def test_report_agrees(self, mc_records):
+        with_numpy = render_json(build_report(mc_records, resamples=300))
+        with mock.patch.object(eval_stats, "_np", None):
+            without = render_json(build_report(mc_records, resamples=300))
+        assert with_numpy == without
